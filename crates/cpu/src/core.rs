@@ -73,9 +73,8 @@ impl CoreConfig {
     /// can simulate: nonzero window, pipeline widths, and functional-unit
     /// pools, plus a valid I-cache geometry when one is attached.
     ///
-    /// [`OooCore::new`] and [`SteppedCore::new`] enforce the same
-    /// constraints by panicking; this is the checked form for
-    /// user-reachable paths.
+    /// [`SteppedCore::new`] enforces the same constraints by panicking;
+    /// this is the checked form for user-reachable paths.
     ///
     /// # Errors
     ///
@@ -222,31 +221,64 @@ impl CycleBuckets {
     }
 }
 
-/// Persistent scheduling state of one simulated instruction stream: the
-/// rings, per-cycle resource buckets, and front-end status that the
-/// interval model threads from op to op. Extracted from the run loop so
-/// [`OooCore::run`] and incremental drivers (`tcp-sim`'s stepping
-/// `Simulation`) share one implementation.
+/// The out-of-order core model, driven one micro-op at a time: feed ops
+/// with [`SteppedCore::step`] and inspect progress between steps. It is
+/// the only core driver; `tcp-sim`'s `Session` adds the warm-up boundary
+/// and the watchdog on top.
+///
+/// # Examples
+///
+/// ```
+/// use tcp_cache::{HierarchyConfig, MemoryHierarchy, NullPrefetcher};
+/// use tcp_cpu::{CoreConfig, MicroOp, SteppedCore};
+/// use tcp_mem::Addr;
+///
+/// let mut h = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
+/// let mut core = SteppedCore::new(CoreConfig::default());
+/// for i in 0..100u64 {
+///     core.step(MicroOp::load(Addr::new((i * 4) % 256), Addr::new(i * 8)), &mut h);
+/// }
+/// assert_eq!(core.ops_executed(), 100);
+/// assert!(core.cycles() > 0);
+/// ```
 #[derive(Debug)]
-pub(crate) struct CoreState {
+pub struct SteppedCore {
+    cfg: CoreConfig,
+    // Scheduling state the interval model threads from op to op: the
+    // rings, per-cycle resource buckets, and front-end status.
     commit_ring: Vec<u64>,
     complete_ring: Vec<u64>,
     fetch_cycle: u64,
     fetched_this_cycle: u32,
     commit_cycle: u64,
     committed_this_cycle: u32,
-    pub(crate) last_commit: u64,
+    last_commit: u64,
     issue_slots: CycleBuckets,
     pools: [CycleBuckets; 5],
     mispredict_rng: tcp_mem::SplitMix64,
     fetch_blocked_until: u64,
     icache: Option<tcp_cache::Cache>,
     last_iline: Option<tcp_mem::LineAddr>,
+    // Run counters: ops executed (the next op's index in program order),
+    // loads/stores, and the measurement boundary.
+    i: u64,
+    run: CoreRun,
+    measure_from_ops: u64,
+    measure_from_cycle: u64,
 }
 
-impl CoreState {
-    pub(crate) fn new(cfg: &CoreConfig) -> Self {
-        CoreState {
+impl SteppedCore {
+    /// Creates a stepped core with fresh scheduling state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window or any width is zero.
+    pub fn new(cfg: CoreConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            // tcp-lint: allow(panic-in-library) — documented panicking constructor; fallible path is cfg.validate()
+            panic!("invalid core configuration: {e}");
+        }
+        SteppedCore {
             commit_ring: vec![0; cfg.window],
             complete_ring: vec![0; cfg.window],
             fetch_cycle: 0,
@@ -262,19 +294,28 @@ impl CoreState {
                 .icache
                 .map(|g| tcp_cache::Cache::new(g, tcp_cache::Replacement::Lru)),
             last_iline: None,
+            cfg,
+            i: 0,
+            run: CoreRun::default(),
+            measure_from_ops: 0,
+            measure_from_cycle: 0,
         }
     }
 
-    /// Schedules one op (op index `i` in program order) and updates the
-    /// run counters.
-    pub(crate) fn step_op(
-        &mut self,
-        cfg: &CoreConfig,
-        i: u64,
-        op: MicroOp,
-        hierarchy: &mut MemoryHierarchy,
-        run: &mut CoreRun,
-    ) {
+    /// Marks the warm-up boundary: ops and cycles before this call are
+    /// excluded from [`SteppedCore::snapshot`] and [`SteppedCore::cycles`].
+    /// The caller resets hierarchy statistics at the same point.
+    pub fn begin_measurement(&mut self) {
+        self.measure_from_ops = self.i;
+        self.measure_from_cycle = if self.i == 0 { 0 } else { self.last_commit };
+        self.run.loads = 0;
+        self.run.stores = 0;
+    }
+
+    /// Schedules the next micro-op in program order.
+    pub fn step(&mut self, op: MicroOp, hierarchy: &mut MemoryHierarchy) {
+        let cfg = &self.cfg;
+        let i = self.i;
         let w = cfg.window;
         let slot = (i as usize) % w;
 
@@ -342,9 +383,9 @@ impl CoreState {
         let complete_t = match op.mem_access() {
             Some(acc) => {
                 if acc.kind.is_store() {
-                    run.stores += 1;
+                    self.run.stores += 1;
                 } else {
-                    run.loads += 1;
+                    self.run.loads += 1;
                 }
                 hierarchy.access(acc, issue_t).completes_at
             }
@@ -387,153 +428,6 @@ impl CoreState {
                 p.prune_below(self.fetch_cycle);
             }
         }
-    }
-}
-
-/// The out-of-order core model.
-///
-/// See the crate-level documentation for an end-to-end example.
-#[derive(Debug)]
-pub struct OooCore {
-    cfg: CoreConfig,
-}
-
-impl OooCore {
-    /// Creates a core with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window or any width is zero.
-    pub fn new(cfg: CoreConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            // tcp-lint: allow(panic-in-library) — documented panicking constructor; fallible path is cfg.validate()
-            panic!("invalid core configuration: {e}");
-        }
-        OooCore { cfg }
-    }
-
-    /// The core configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
-    /// Runs a micro-op stream to completion against `hierarchy` and
-    /// returns timing results. The hierarchy accumulates its own
-    /// statistics; call [`MemoryHierarchy::finalize`] afterwards.
-    pub fn run<I>(&mut self, ops: I, hierarchy: &mut MemoryHierarchy) -> CoreRun
-    where
-        I: IntoIterator<Item = MicroOp>,
-    {
-        self.run_with_warmup(ops, 0, hierarchy)
-    }
-
-    /// Like [`OooCore::run`], but the first `warmup_ops` micro-ops warm
-    /// the caches and predictor tables without being measured: hierarchy
-    /// statistics are reset and the cycle/op counters restart at the
-    /// warm-up boundary, mirroring the paper's methodology of skipping
-    /// the first billion instructions before measuring two billion.
-    pub fn run_with_warmup<I>(
-        &mut self,
-        ops: I,
-        warmup_ops: u64,
-        hierarchy: &mut MemoryHierarchy,
-    ) -> CoreRun
-    where
-        I: IntoIterator<Item = MicroOp>,
-    {
-        let mut state = CoreState::new(&self.cfg);
-        let mut run = CoreRun::default();
-        let mut i: u64 = 0;
-        let mut measure_start_cycle = 0u64;
-
-        for op in ops {
-            if i == warmup_ops && warmup_ops > 0 {
-                measure_start_cycle = state.last_commit;
-                hierarchy.reset_stats();
-                run.loads = 0;
-                run.stores = 0;
-            }
-            state.step_op(&self.cfg, i, op, hierarchy, &mut run);
-            i += 1;
-        }
-        let last_commit = state.last_commit;
-        run.ops = i.saturating_sub(warmup_ops.min(i));
-        run.cycles = (last_commit + 1).saturating_sub(measure_start_cycle);
-        run
-    }
-}
-
-/// An incrementally-driven core: feed ops one at a time and inspect
-/// progress between steps. [`OooCore::run`] is the batch driver over the
-/// same machinery; this type exists for interactive tooling and for
-/// `tcp-sim`'s chunked `Simulation` driver, which pauses between chunks
-/// to expose mid-run statistics.
-///
-/// # Examples
-///
-/// ```
-/// use tcp_cache::{HierarchyConfig, MemoryHierarchy, NullPrefetcher};
-/// use tcp_cpu::{CoreConfig, MicroOp, SteppedCore};
-/// use tcp_mem::Addr;
-///
-/// let mut h = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
-/// let mut core = SteppedCore::new(CoreConfig::default());
-/// for i in 0..100u64 {
-///     core.step(MicroOp::load(Addr::new((i * 4) % 256), Addr::new(i * 8)), &mut h);
-/// }
-/// assert_eq!(core.ops_executed(), 100);
-/// assert!(core.cycles() > 0);
-/// ```
-#[derive(Debug)]
-pub struct SteppedCore {
-    cfg: CoreConfig,
-    state: CoreState,
-    i: u64,
-    run: CoreRun,
-    measure_from_ops: u64,
-    measure_from_cycle: u64,
-}
-
-impl SteppedCore {
-    /// Creates a stepped core with fresh scheduling state.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same configuration constraints as
-    /// [`OooCore::new`].
-    pub fn new(cfg: CoreConfig) -> Self {
-        let core = OooCore::new(cfg); // validates
-        let cfg = core.cfg;
-        let state = CoreState::new(&cfg);
-        SteppedCore {
-            cfg,
-            state,
-            i: 0,
-            run: CoreRun::default(),
-            measure_from_ops: 0,
-            measure_from_cycle: 0,
-        }
-    }
-
-    /// Marks the warm-up boundary: ops and cycles before this call are
-    /// excluded from [`SteppedCore::snapshot`], [`SteppedCore::cycles`],
-    /// and [`SteppedCore::ipc`], mirroring [`OooCore::run_with_warmup`].
-    /// The caller resets hierarchy statistics at the same point.
-    pub fn begin_measurement(&mut self) {
-        self.measure_from_ops = self.i;
-        self.measure_from_cycle = if self.i == 0 {
-            0
-        } else {
-            self.state.last_commit
-        };
-        self.run.loads = 0;
-        self.run.stores = 0;
-    }
-
-    /// Schedules one micro-op.
-    pub fn step(&mut self, op: MicroOp, hierarchy: &mut MemoryHierarchy) {
-        self.state
-            .step_op(&self.cfg, self.i, op, hierarchy, &mut self.run);
         self.i += 1;
     }
 
@@ -548,17 +442,7 @@ impl SteppedCore {
         if self.i == 0 {
             0
         } else {
-            (self.state.last_commit + 1).saturating_sub(self.measure_from_cycle)
-        }
-    }
-
-    /// IPC over the measured window so far.
-    pub fn ipc(&self) -> f64 {
-        let c = self.cycles();
-        if c == 0 {
-            0.0
-        } else {
-            self.measured_ops() as f64 / c as f64
+            (self.last_commit + 1).saturating_sub(self.measure_from_cycle)
         }
     }
 
@@ -589,21 +473,27 @@ mod tests {
         MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher))
     }
 
+    fn run_on(cfg: CoreConfig, ops: Vec<MicroOp>, h: &mut MemoryHierarchy) -> CoreRun {
+        let mut core = SteppedCore::new(cfg);
+        for op in ops {
+            core.step(op, h);
+        }
+        core.snapshot()
+    }
+
     fn run_ops(ops: Vec<MicroOp>) -> CoreRun {
-        let mut h = hierarchy();
-        OooCore::new(CoreConfig::default()).run(ops, &mut h)
+        run_on(CoreConfig::default(), ops, &mut hierarchy())
     }
 
     /// Pure scheduling tests use an ideal front end so cold I-cache
     /// misses don't obscure the property under test.
     fn run_ops_ideal_frontend(ops: Vec<MicroOp>) -> CoreRun {
-        let mut h = hierarchy();
         let cfg = CoreConfig {
             icache: None,
             branch_mispredict_pct: 0,
             ..CoreConfig::default()
         };
-        OooCore::new(cfg).run(ops, &mut h)
+        run_on(cfg, ops, &mut hierarchy())
     }
 
     #[test]
@@ -702,7 +592,7 @@ mod tests {
             })
             .collect();
         let mut real = hierarchy();
-        let r_real = OooCore::new(CoreConfig::default()).run(ops.clone(), &mut real);
+        let r_real = run_on(CoreConfig::default(), ops.clone(), &mut real);
         let mut ideal = MemoryHierarchy::new(
             HierarchyConfig {
                 ideal_l2: true,
@@ -710,7 +600,7 @@ mod tests {
             },
             Box::new(NullPrefetcher),
         );
-        let r_ideal = OooCore::new(CoreConfig::default()).run(ops, &mut ideal);
+        let r_ideal = run_on(CoreConfig::default(), ops, &mut ideal);
         assert!(
             r_ideal.ipc() > 1.5 * r_real.ipc(),
             "ideal L2 must help memory-bound code: {} vs {}",
@@ -749,7 +639,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "window")]
     fn zero_window_rejected() {
-        let _ = OooCore::new(CoreConfig {
+        let _ = SteppedCore::new(CoreConfig {
             window: 0,
             ..CoreConfig::default()
         });

@@ -7,21 +7,23 @@
 //! ports. This crate reproduces that machine's *timing behaviour* — how
 //! the instruction window tolerates L2 hits but fills up and stalls on
 //! main-memory misses — without interpreting an ISA: workloads supply
-//! [`MicroOp`] streams with explicit data dependences, and [`OooCore`]
-//! schedules them against the shared [`tcp_cache::MemoryHierarchy`].
+//! [`MicroOp`] streams with explicit data dependences, and [`SteppedCore`]
+//! schedules them one at a time against the shared
+//! [`tcp_cache::MemoryHierarchy`].
 //!
 //! # Examples
 //!
 //! ```
 //! use tcp_cache::{HierarchyConfig, MemoryHierarchy, NullPrefetcher};
-//! use tcp_cpu::{CoreConfig, MicroOp, OooCore};
+//! use tcp_cpu::{CoreConfig, MicroOp, SteppedCore};
 //! use tcp_mem::Addr;
 //!
 //! let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
-//! let mut core = OooCore::new(CoreConfig::default());
-//! let ops = (0..1000).map(|i| MicroOp::load(Addr::new(i * 4), Addr::new(i * 8)));
-//! let run = core.run(ops, &mut hierarchy);
-//! assert!(run.ipc() > 0.0);
+//! let mut core = SteppedCore::new(CoreConfig::default());
+//! for i in 0..1000 {
+//!     core.step(MicroOp::load(Addr::new(i * 4), Addr::new(i * 8)), &mut hierarchy);
+//! }
+//! assert!(core.snapshot().ipc() > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -30,5 +32,5 @@
 mod core;
 mod uop;
 
-pub use crate::core::{CoreConfig, CoreRun, OooCore, SteppedCore};
+pub use crate::core::{CoreConfig, CoreRun, SteppedCore};
 pub use uop::{MicroOp, OpClass};

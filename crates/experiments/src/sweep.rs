@@ -46,9 +46,7 @@ use std::sync::Mutex;
 use tcp_baselines::{Dbcp, DbcpConfig};
 use tcp_cache::{NullPrefetcher, Prefetcher};
 use tcp_core::{DbpConfig, HybridTcp, StrideAugmentedTcp, Tcp, TcpConfig};
-use tcp_sim::{
-    run_benchmark, try_run_benchmark_warm, RunError, RunResult, SimError, SystemConfig, Watchdog,
-};
+use tcp_sim::{run_benchmark, RunError, RunResult, Session, SimError, SystemConfig, Watchdog};
 use tcp_workloads::Benchmark;
 
 use crate::store::{StoreError, SweepStore};
@@ -471,22 +469,25 @@ impl SweepEngine {
 }
 
 /// Runs one job under its watchdog, retrying a wedge up to
-/// `opts.max_retries` times with a relaxed cap. For healthy runs the
-/// supervised runner is cycle-exact with [`run_benchmark`] (the PR 1
-/// parity contract), so results are interchangeable with
-/// [`SweepEngine::run`]'s.
+/// `opts.max_retries` times with a relaxed cap. The job runs through the
+/// same [`Session`] as [`run_benchmark`] (with the same half-length
+/// warm-up), so results are interchangeable with [`SweepEngine::run`]'s.
 fn run_supervised(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimError> {
+    let bench = &job.benchmark;
+    let warmup = job.n_ops / 2;
     let mut watchdog = opts.watchdog;
     let mut attempt = 0u32;
     loop {
-        let outcome = try_run_benchmark_warm(
-            &job.benchmark,
-            job.n_ops / 2,
-            job.n_ops,
+        let mut session = Session::new(
+            bench.name,
             &job.machine,
             job.prefetcher.build(),
-            &watchdog,
-        );
+            warmup,
+            watchdog,
+        )?;
+        let outcome = session
+            .feed(bench.generator(warmup + job.n_ops))
+            .map(|()| session.finish());
         match outcome {
             Err(SimError::Run(RunError::Wedged { .. })) if attempt < opts.max_retries => {
                 attempt += 1;
@@ -821,7 +822,6 @@ mod tests {
             // (cap 256) completes with headroom.
             let tight = Watchdog {
                 max_cycles_per_op: 1,
-                check_interval_ops: 1_024,
             };
             let mut slow = SystemConfig::table1();
             slow.hierarchy.memory_latency = 2_000;

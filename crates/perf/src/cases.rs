@@ -10,13 +10,13 @@
 use tcp_analysis::{miss_stream, read_trace, write_trace, MissRecord, TraceReader};
 use tcp_cache::{Cache, L1MissInfo, MemoryHierarchy, NullPrefetcher, Prefetcher, Replacement};
 use tcp_core::{Tcp, TcpConfig};
-use tcp_cpu::{MicroOp, OooCore};
+use tcp_cpu::MicroOp;
 use tcp_experiments::store::{decode_record, encode_record};
 use tcp_experiments::sweep::{Job, PrefetcherSpec, SweepEngine};
 use tcp_lint::{find_workspace_root, workspace_sources, ParsedWorkspace, SourceFile};
 use tcp_mem::{Addr, MemAccess};
 use tcp_sim::stream::{StreamOpts, TenantMux};
-use tcp_sim::{run_suite_parallel, SystemConfig};
+use tcp_sim::{run_suite_parallel, Session, SystemConfig, Watchdog};
 use tcp_workloads::{suite, Benchmark};
 
 use std::path::Path;
@@ -44,7 +44,7 @@ pub const CASES: &[CaseSpec] = &[
     },
     CaseSpec {
         name: "ooo_core",
-        about: "OooCore::run event loop end to end (gzip micro-ops through a Table 1 machine)",
+        about: "Session::feed event loop end to end (gzip micro-ops through a Table 1 machine)",
     },
     CaseSpec {
         name: "trace_decode",
@@ -176,10 +176,18 @@ fn ooo_core(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let ops: Vec<MicroOp> = find_bench("gzip").generator(n_ops).collect();
     let cfg = SystemConfig::table1();
     measure("ooo_core", "uops", ops.len() as u64, opts, || {
-        let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy, Box::new(NullPrefetcher));
-        let mut core = OooCore::new(cfg.core);
-        let run = core.run(ops.iter().copied(), &mut hierarchy);
-        run.cycles
+        let mut session = Session::new(
+            "gzip",
+            &cfg,
+            Box::new(NullPrefetcher),
+            0,
+            Watchdog::default(),
+        )
+        .expect("Table 1 is a valid machine");
+        session
+            .feed(ops.iter().copied())
+            .expect("gzip never wedges Table 1");
+        session.cycles()
     })
 }
 

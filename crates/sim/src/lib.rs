@@ -6,15 +6,21 @@
 //! one run, and provides the suite-level driver the experiment harness
 //! uses for Figures 1 and 11–14.
 //!
+//! Every run goes through one driver, [`Session`]: a validated machine, a
+//! stepped core over its hierarchy, the warm-up boundary, and an
+//! always-on [`Watchdog`], fed by the workload generator or by trace
+//! records. The runners below and the [`stream`] replays are thin
+//! constructors over it.
+//!
 //! # Fault tolerance
 //!
 //! The runner comes in two tiers. The classic functions
 //! ([`run_benchmark`], [`ipc_improvement`]) panic on bad input, which is
 //! right for the experiment harness where every configuration is shipped
 //! and known-good. The checked tier ([`try_run_benchmark`],
-//! [`try_ipc_improvement`]) validates the machine first
-//! ([`SystemConfig::validate`]), supervises forward progress with a
-//! [`Watchdog`], and returns typed [`SimError`]s. The suite runners
+//! [`try_ipc_improvement`]) returns the same failures — an invalid
+//! machine ([`SystemConfig::validate`]) or a run the [`Watchdog`] found
+//! wedged — as typed [`SimError`]s. The suite runners
 //! ([`run_suite`], [`run_suite_parallel`]) build on the checked tier and
 //! additionally isolate each benchmark behind a panic boundary: a
 //! degenerate workload becomes a [`RunOutcome::Failed`] entry in the
@@ -40,16 +46,14 @@ mod config;
 mod error;
 pub mod faults;
 mod runner;
-mod simulation;
+mod session;
 pub mod stream;
 pub mod sweep;
 
 pub use config::SystemConfig;
 pub use error::{ConfigError, RunError, SimError, TraceError};
 pub use runner::{
-    ipc_improvement, map_benchmarks_parallel, map_benchmarks_parallel_with_threads, run_benchmark,
-    run_benchmark_warm, run_suite, run_suite_parallel, run_suite_parallel_with_threads,
-    try_ipc_improvement, try_run_benchmark, try_run_benchmark_warm, RunOutcome, RunResult,
-    SuiteResult, Watchdog,
+    ipc_improvement, run_benchmark, run_suite, run_suite_parallel, run_suite_parallel_with_threads,
+    try_ipc_improvement, try_run_benchmark, RunOutcome, RunResult, SuiteResult,
 };
-pub use simulation::{Simulation, StepProgress};
+pub use session::{Session, Watchdog};

@@ -1,15 +1,17 @@
 //! Run driver: one benchmark × one prefetcher → timing and traffic
 //! results; suite driver for all 26 benchmarks.
 //!
-//! Two tiers of API live here:
+//! Two tiers of API live here, both thin constructors over one
+//! [`Session`]:
 //!
 //! * the classic panicking runners ([`run_benchmark`],
-//!   [`run_benchmark_warm`], [`ipc_improvement`]) used by the experiment
-//!   harness where inputs are known-good; and
+//!   [`ipc_improvement`]) used by the experiment harness where inputs are
+//!   known-good; and
 //! * the fault-tolerant tier ([`try_run_benchmark`],
-//!   [`try_run_benchmark_warm`], [`try_ipc_improvement`]) that validates
-//!   the machine first, supervises forward progress with a [`Watchdog`],
-//!   and returns typed [`SimError`]s instead of panicking.
+//!   [`try_ipc_improvement`]) that returns typed [`SimError`]s instead of
+//!   panicking.
+//!
+//! Both validate the machine and run under the default [`Watchdog`].
 //!
 //! The suite runners ([`run_suite`], [`run_suite_parallel`]) sit on the
 //! fault-tolerant tier: every benchmark executes inside a panic boundary
@@ -20,9 +22,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::error::{RunError, SimError};
-use crate::SystemConfig;
-use tcp_cache::{HierarchyStats, MemoryHierarchy, Prefetcher};
-use tcp_cpu::{OooCore, SteppedCore};
+use crate::session::expect_ok;
+use crate::{Session, SystemConfig, Watchdog};
+use tcp_cache::{HierarchyStats, Prefetcher};
 use tcp_workloads::Benchmark;
 
 /// The outcome of simulating one benchmark with one prefetcher.
@@ -44,52 +46,16 @@ pub struct RunResult {
     pub stats: HierarchyStats,
 }
 
-/// Forward-progress supervision for a run.
-///
-/// A healthy Table 1 machine commits an op every couple of cycles; even a
-/// pathological all-miss stream with full MSHR stalls stays well under a
-/// few hundred cycles per committed op. A run whose cycles-per-op ratio
-/// blows past [`Watchdog::max_cycles_per_op`] is wedged — a degenerate
-/// configuration or adversarial workload has effectively stopped the
-/// machine — and is aborted with [`RunError::Wedged`] instead of spinning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Watchdog {
-    /// Abort when `cycles > max_cycles_per_op × committed ops` at a
-    /// checkpoint.
-    pub max_cycles_per_op: u64,
-    /// Ops between checkpoints. Smaller intervals catch wedges sooner and
-    /// cost a little more bookkeeping.
-    pub check_interval_ops: u64,
-}
-
-impl Default for Watchdog {
-    /// 10 000 cycles per committed op, checked every 8 192 ops: two
-    /// orders of magnitude above any physically meaningful machine, so
-    /// real configurations never trip it.
-    fn default() -> Self {
-        Watchdog {
-            max_cycles_per_op: 10_000,
-            check_interval_ops: 8_192,
-        }
-    }
-}
-
-impl Watchdog {
-    /// A watchdog with the given cycles-per-op cap and the default
-    /// checkpoint interval.
-    pub fn with_max_cycles_per_op(max_cycles_per_op: u64) -> Self {
-        Watchdog {
-            max_cycles_per_op,
-            ..Watchdog::default()
-        }
-    }
-}
-
 /// Simulates `bench` for `n_ops` micro-ops on the machine `cfg` with the
-/// given prefetch engine.
+/// given prefetch engine, after an unmeasured warm-up of `n_ops / 2` ops
+/// (the paper's skip-then-measure methodology at a 1:2 ratio).
 ///
 /// This is the classic panicking form; [`try_run_benchmark`] is the
-/// checked equivalent.
+/// checked equivalent and returns the same bits for healthy runs.
+///
+/// # Panics
+///
+/// Panics with the [`SimError`] that [`try_run_benchmark`] would return.
 ///
 /// # Examples
 ///
@@ -100,38 +66,7 @@ pub fn run_benchmark(
     cfg: &SystemConfig,
     prefetcher: Box<dyn Prefetcher>,
 ) -> RunResult {
-    run_benchmark_warm(bench, n_ops / 2, n_ops, cfg, prefetcher)
-}
-
-/// Like [`run_benchmark`] with an explicit warm-up: the first
-/// `warmup_ops` micro-ops prime caches and predictor tables unmeasured,
-/// then `n_ops` are measured — the paper's skip-then-measure methodology.
-pub fn run_benchmark_warm(
-    bench: &Benchmark,
-    warmup_ops: u64,
-    n_ops: u64,
-    cfg: &SystemConfig,
-    prefetcher: Box<dyn Prefetcher>,
-) -> RunResult {
-    let name = prefetcher.name().to_owned();
-    let bytes = prefetcher.storage_bytes();
-    let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy, prefetcher);
-    let mut core = OooCore::new(cfg.core);
-    let run = core.run_with_warmup(
-        bench.generator(warmup_ops + n_ops),
-        warmup_ops,
-        &mut hierarchy,
-    );
-    let stats = hierarchy.finalize();
-    RunResult {
-        benchmark: bench.name.to_owned(),
-        prefetcher: name,
-        prefetcher_bytes: bytes,
-        ipc: run.ipc(),
-        cycles: run.cycles,
-        ops: run.ops,
-        stats,
-    }
+    expect_ok(try_run_benchmark(bench, n_ops, cfg, prefetcher))
 }
 
 /// Checked run: validates `cfg`, then simulates `bench` for `n_ops`
@@ -166,74 +101,10 @@ pub fn try_run_benchmark(
     cfg: &SystemConfig,
     prefetcher: Box<dyn Prefetcher>,
 ) -> Result<RunResult, SimError> {
-    try_run_benchmark_warm(
-        bench,
-        n_ops / 2,
-        n_ops,
-        cfg,
-        prefetcher,
-        &Watchdog::default(),
-    )
-}
-
-/// Checked run with explicit warm-up and watchdog. Produces results
-/// identical to [`run_benchmark_warm`] for healthy runs (both drive the
-/// same scheduling state op by op).
-///
-/// # Errors
-///
-/// See [`try_run_benchmark`].
-pub fn try_run_benchmark_warm(
-    bench: &Benchmark,
-    warmup_ops: u64,
-    n_ops: u64,
-    cfg: &SystemConfig,
-    prefetcher: Box<dyn Prefetcher>,
-    watchdog: &Watchdog,
-) -> Result<RunResult, SimError> {
-    cfg.validate()?;
-    let name = prefetcher.name().to_owned();
-    let bytes = prefetcher.storage_bytes();
-    let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy, prefetcher);
-    let mut core = SteppedCore::new(cfg.core);
-    let gen = bench.generator(warmup_ops + n_ops);
-    let interval = watchdog.check_interval_ops.max(1);
-    let mut i: u64 = 0;
-    for op in gen {
-        if i == warmup_ops && warmup_ops > 0 {
-            core.begin_measurement();
-            hierarchy.reset_stats();
-        }
-        core.step(op, &mut hierarchy);
-        i += 1;
-        if i.is_multiple_of(interval) {
-            let (ops, cycles) = (core.measured_ops(), core.cycles());
-            if cycles > watchdog.max_cycles_per_op.saturating_mul(ops.max(1)) {
-                return Err(RunError::Wedged {
-                    benchmark: bench.name.to_owned(),
-                    ops,
-                    cycles,
-                    max_cycles_per_op: watchdog.max_cycles_per_op,
-                }
-                .into());
-            }
-        }
-    }
-    let mut run = core.snapshot();
-    // Mirror the batch runner's accounting for the degenerate all-warmup
-    // case (measurement boundary never crossed): zero measured ops, not
-    // the whole warmup.
-    run.ops = i.saturating_sub(warmup_ops.min(i));
-    let stats = hierarchy.finalize();
-    Ok(RunResult {
-        benchmark: bench.name.to_owned(),
-        prefetcher: name,
-        prefetcher_bytes: bytes,
-        ipc: run.ipc(),
-        cycles: run.cycles,
-        ops: run.ops,
-        stats,
-    })
+    let warmup = n_ops / 2;
+    let mut session = Session::new(bench.name, cfg, prefetcher, warmup, Watchdog::default())?;
+    session.feed(bench.generator(warmup + n_ops))?;
+    Ok(session.finish())
 }
 
 /// IPC improvement of `new` over `base`, in percent (the y-axis of
@@ -274,8 +145,7 @@ pub fn try_ipc_improvement(base: &RunResult, new: &RunResult) -> Result<f64, Sim
 ///
 /// Panics if `base.ipc` is not positive.
 pub fn ipc_improvement(base: &RunResult, new: &RunResult) -> f64 {
-    // tcp-lint: allow(panic-in-library) — documented panicking wrapper; fallible form is try_ipc_improvement
-    try_ipc_improvement(base, new).unwrap_or_else(|e| panic!("baseline IPC must be positive: {e}"))
+    expect_ok(try_ipc_improvement(base, new))
 }
 
 /// The recorded fate of one benchmark inside a suite run.
@@ -396,14 +266,7 @@ fn protected_run(
     // prefetcher are discarded wholesale, so no witness of broken
     // invariants survives the boundary.
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        try_run_benchmark_warm(
-            bench,
-            n_ops / 2,
-            n_ops,
-            cfg,
-            factory(),
-            &Watchdog::default(),
-        )
+        try_run_benchmark(bench, n_ops, cfg, factory())
     }));
     match caught {
         Ok(Ok(result)) => RunOutcome::Ok(result),
@@ -442,56 +305,10 @@ where
     SuiteResult { outcomes }
 }
 
-/// Applies `f` to every benchmark on worker threads, preserving order.
-/// The building block behind [`run_suite_parallel`] and the experiment
-/// harness's per-figure fan-out: each benchmark's simulations are
-/// independent and deterministic, so parallelism changes only wall-clock
-/// time.
-///
-/// A panic inside `f` does not abort the other benchmarks: every
-/// remaining benchmark still runs, and the first panic (in suite order)
-/// is re-raised once all workers have finished. Callers who need panics
-/// recorded rather than propagated should catch them inside `f` — see
-/// [`run_suite_parallel`], which maps benchmarks to [`RunOutcome`]s.
-pub fn map_benchmarks_parallel<T, F>(benchmarks: &[Benchmark], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Benchmark) -> T + Sync,
-{
-    map_benchmarks_parallel_with_threads(benchmarks, crate::sweep::default_threads(), f)
-}
-
-/// [`map_benchmarks_parallel`] with an explicit worker-thread count
-/// instead of the machine's available parallelism. Results are
-/// independent of `threads` — the determinism tests sweep 1, 2, and 8
-/// workers and require identical outcomes.
-///
-/// Scheduling rides on the work-stealing pool of
-/// [`crate::sweep::run_jobs_stealing`]: each worker owns a contiguous
-/// block of suite indices and steals from other blocks' tails when its
-/// own drains, so one pathologically slow benchmark does not leave the
-/// remaining workers idle behind a shared-counter tail.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero, or re-raises the first (in suite order)
-/// panic from `f` after every benchmark has been processed.
-pub fn map_benchmarks_parallel_with_threads<T, F>(
-    benchmarks: &[Benchmark],
-    threads: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Benchmark) -> T + Sync,
-{
-    crate::sweep::run_jobs_stealing(benchmarks.len(), threads, |i| f(&benchmarks[i]))
-}
-
-/// Like [`run_suite`] but simulating benchmarks on worker threads.
-/// Results are identical to the sequential runner (each benchmark's
-/// simulation is self-contained and deterministic); only wall-clock time
-/// changes. The prefetcher factory must be callable from any thread and
+/// Like [`run_suite`] but simulating benchmarks on worker threads, as
+/// many as the machine offers. Results are identical to the sequential
+/// runner (each benchmark's simulation is self-contained and
+/// deterministic); only wall-clock time changes. The prefetcher factory must be callable from any thread and
 /// produce thread-transferable engines — every engine in this workspace
 /// qualifies.
 ///
@@ -508,16 +325,25 @@ pub fn run_suite_parallel<F>(
 where
     F: Fn() -> Box<dyn Prefetcher + Send> + Sync,
 {
-    let outcomes = map_benchmarks_parallel(benchmarks, |b| {
-        protected_run(b, n_ops, cfg, || factory() as Box<dyn Prefetcher>)
-    });
-    SuiteResult { outcomes }
+    run_suite_parallel_with_threads(
+        benchmarks,
+        crate::sweep::default_threads(),
+        n_ops,
+        cfg,
+        factory,
+    )
 }
 
 /// [`run_suite_parallel`] with an explicit worker-thread count. Outcomes
 /// are identical for any `threads >= 1`: each benchmark's simulation is
 /// self-contained and deterministic, and results land in suite order
 /// regardless of which worker ran them.
+///
+/// Scheduling rides on the work-stealing pool of
+/// [`crate::sweep::run_jobs_stealing`]: each worker owns a contiguous
+/// block of suite indices and steals from other blocks' tails when its
+/// own drains, so one pathologically slow benchmark does not leave the
+/// remaining workers idle behind a shared-counter tail.
 ///
 /// # Panics
 ///
@@ -532,8 +358,10 @@ pub fn run_suite_parallel_with_threads<F>(
 where
     F: Fn() -> Box<dyn Prefetcher + Send> + Sync,
 {
-    let outcomes = map_benchmarks_parallel_with_threads(benchmarks, threads, |b| {
-        protected_run(b, n_ops, cfg, || factory() as Box<dyn Prefetcher>)
+    let outcomes = crate::sweep::run_jobs_stealing(benchmarks.len(), threads, |i| {
+        protected_run(&benchmarks[i], n_ops, cfg, || {
+            factory() as Box<dyn Prefetcher>
+        })
     });
     SuiteResult { outcomes }
 }
@@ -582,45 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_runner_matches_batch_runner_exactly() {
-        let b = suite().into_iter().find(|b| b.name == "gzip").unwrap();
-        let cfg = SystemConfig::table1();
-        let batch = run_benchmark(&b, TEST_OPS, &cfg, Box::new(NullPrefetcher));
-        let checked = try_run_benchmark(&b, TEST_OPS, &cfg, Box::new(NullPrefetcher)).unwrap();
-        assert_eq!(batch.cycles, checked.cycles);
-        assert_eq!(batch.ops, checked.ops);
-        assert_eq!(batch.stats, checked.stats);
-        assert_eq!(batch.ipc, checked.ipc);
-    }
-
-    #[test]
-    fn checked_runner_matches_batch_runner_with_explicit_warmup() {
-        let b = suite().into_iter().find(|b| b.name == "art").unwrap();
-        let cfg = SystemConfig::table1();
-        // Includes the degenerate all-warmup window (n_ops = 0), where
-        // both runners must report zero measured ops.
-        for (warmup, n_ops) in [(0u64, 30_000u64), (10_000, 30_000), (10_000, 0)] {
-            let batch = run_benchmark_warm(&b, warmup, n_ops, &cfg, Box::new(NullPrefetcher));
-            let checked = try_run_benchmark_warm(
-                &b,
-                warmup,
-                n_ops,
-                &cfg,
-                Box::new(NullPrefetcher),
-                &Watchdog::default(),
-            )
-            .unwrap();
-            assert_eq!(
-                batch.cycles, checked.cycles,
-                "warmup {warmup} n_ops {n_ops}"
-            );
-            assert_eq!(batch.ops, checked.ops, "warmup {warmup} n_ops {n_ops}");
-            assert_eq!(batch.ipc, checked.ipc, "warmup {warmup} n_ops {n_ops}");
-            assert_eq!(batch.stats, checked.stats, "warmup {warmup} n_ops {n_ops}");
-        }
-    }
-
-    #[test]
     fn checked_runner_rejects_invalid_config() {
         let b = suite().into_iter().next().unwrap();
         let mut cfg = SystemConfig::table1();
@@ -635,13 +424,11 @@ mod tests {
         // behind a single MSHR serialises every miss, so the ratio blows
         // past the default 10 000 cycles/op by the first checkpoint.
         let b = suite().into_iter().find(|b| b.name == "gzip").unwrap();
-        let err = try_run_benchmark_warm(
+        let err = try_run_benchmark(
             &b,
-            0,
             50_000,
             &crate::faults::wedged_config(),
             Box::new(NullPrefetcher),
-            &Watchdog::default(),
         )
         .unwrap_err();
         assert!(

@@ -9,34 +9,40 @@
 //!
 //! * [`replay_records`] — the materialized reference: replay decoded
 //!   records through a Table 1 core + hierarchy;
-//! * [`replay_stream`] — the streaming equivalent, decoding through a
-//!   bounded ring; **bit-identical** results to [`replay_records`] over
-//!   the same records (the `stream_engine` acceptance suite pins this);
 //! * [`TenantMux`] — interleaves K independent tenant streams through
 //!   one engine in deterministic round-robin quanta, with per-tenant
 //!   statistics, incremental [`TenantSnapshot`]s, and per-tenant fault
-//!   isolation (one corrupt trace surfaces as that tenant's
-//!   [`TraceError`] without poisoning its siblings);
+//!   isolation (one corrupt or wedged tenant surfaces as that tenant's
+//!   [`SimError`] without poisoning its siblings);
+//! * [`replay_stream`] — the strict single-stream form: a one-tenant
+//!   [`TenantMux`] whose error fails the whole replay; **bit-identical**
+//!   results to [`replay_records`] over the same records (the
+//!   `stream_engine` acceptance suite pins this);
 //! * [`SyntheticTrace`] — an O(1)-memory `Read` source generating a
 //!   well-formed trace of any length, for acceptance tests that must
 //!   stream traces much larger than the ring.
 //!
 //! Replay semantics: each [`MissRecord`] becomes one load micro-op
-//! (`pc`, `addr`) fed to a [`SteppedCore`] — the persisted miss stream
-//! re-executed as a memory-bound instruction stream. Everything here is
+//! (`pc`, `addr`) fed to a [`Session`] with no warm-up — the persisted
+//! miss stream re-executed as a memory-bound instruction stream, under
+//! the same watchdog as every other run. Everything here is
 //! single-threaded and pull-model, so results are deterministic and the
 //! interleaving never changes a tenant's own cycle outputs.
 
 use std::io::{self, Read};
 
-use crate::error::{SimError, TraceError};
-use crate::{RunResult, SystemConfig};
+use crate::error::SimError;
+use crate::session::expect_ok;
+use crate::{RunResult, Session, SystemConfig, Watchdog};
 use tcp_analysis::{write_trace, MissRecord, TraceReader, STREAM_CHUNK};
-use tcp_cache::{HierarchyStats, MemoryHierarchy, Prefetcher};
-use tcp_cpu::{MicroOp, SteppedCore};
+use tcp_cache::{HierarchyStats, Prefetcher};
+use tcp_cpu::MicroOp;
 
 /// Default ring depth, in chunks of [`STREAM_CHUNK`] records.
 pub const DEFAULT_RING_CHUNKS: usize = 4;
+
+/// Records a tenant replays per round-robin turn.
+const QUANTUM: usize = 256;
 
 /// Tuning for the streaming replay paths.
 #[derive(Clone, Copy, Debug)]
@@ -44,8 +50,6 @@ pub struct StreamOpts {
     /// Ring capacity in chunks: the ring holds up to
     /// `ring_chunks × STREAM_CHUNK` records. At least 1.
     pub ring_chunks: usize,
-    /// Records a tenant replays per round-robin turn. At least 1.
-    pub quantum: usize,
     /// Emit a [`TenantSnapshot`] each time a tenant's cycle count
     /// crosses another multiple of this many cycles (0 disables
     /// snapshots).
@@ -56,7 +60,6 @@ impl Default for StreamOpts {
     fn default() -> Self {
         StreamOpts {
             ring_chunks: DEFAULT_RING_CHUNKS,
-            quantum: 256,
             snapshot_cycles: 0,
         }
     }
@@ -65,7 +68,6 @@ impl Default for StreamOpts {
 impl StreamOpts {
     fn validated(self) -> Self {
         assert!(self.ring_chunks >= 1, "ring must hold at least one chunk");
-        assert!(self.quantum >= 1, "quantum must be at least one record");
         self
     }
 
@@ -165,27 +167,6 @@ impl BoundedRing {
     }
 }
 
-/// One tenant's replay machinery: a stepped core over its own hierarchy.
-struct ReplayEngine {
-    core: SteppedCore,
-    hierarchy: MemoryHierarchy,
-}
-
-impl ReplayEngine {
-    fn new(cfg: &SystemConfig, prefetcher: Box<dyn Prefetcher>) -> Self {
-        ReplayEngine {
-            core: SteppedCore::new(cfg.core),
-            hierarchy: MemoryHierarchy::new(cfg.hierarchy, prefetcher),
-        }
-    }
-
-    #[inline]
-    fn feed(&mut self, rec: MissRecord) {
-        self.core
-            .step(MicroOp::load(rec.pc, rec.addr), &mut self.hierarchy);
-    }
-}
-
 /// Timing and traffic results of replaying a miss trace.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReplayResult {
@@ -199,14 +180,9 @@ pub struct ReplayResult {
     pub stats: HierarchyStats,
 }
 
-fn finish_engine(mut engine: ReplayEngine, records: u64) -> ReplayResult {
-    let run = engine.core.snapshot();
-    ReplayResult {
-        records,
-        cycles: run.cycles,
-        ipc: engine.core.ipc(),
-        stats: engine.hierarchy.finalize(),
-    }
+/// One record replayed as one load micro-op.
+fn load(rec: MissRecord) -> MicroOp {
+    MicroOp::load(rec.pc, rec.addr)
 }
 
 /// Replays already-materialized records through a core + hierarchy: the
@@ -214,18 +190,28 @@ fn finish_engine(mut engine: ReplayEngine, records: u64) -> ReplayResult {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` violates the core/hierarchy construction constraints
+/// Panics if `cfg` is invalid or the watchdog finds the replay wedged
 /// (the classic panicking tier, like [`crate::run_benchmark`]).
 pub fn replay_records(
     records: &[MissRecord],
     cfg: &SystemConfig,
     prefetcher: Box<dyn Prefetcher>,
 ) -> ReplayResult {
-    let mut engine = ReplayEngine::new(cfg, prefetcher);
-    for rec in records {
-        engine.feed(*rec);
+    let mut session = expect_ok(Session::new(
+        "replay",
+        cfg,
+        prefetcher,
+        0,
+        Watchdog::default(),
+    ));
+    expect_ok(session.feed(records.iter().copied().map(load)));
+    let r = session.finish();
+    ReplayResult {
+        records: r.ops,
+        cycles: r.cycles,
+        ipc: r.ipc,
+        stats: r.stats,
     }
-    finish_engine(engine, records.len() as u64)
 }
 
 /// A [`ReplayResult`] plus the streaming pipeline's observed memory
@@ -245,52 +231,38 @@ pub struct StreamReplay {
 /// Replays a serialized trace *while decoding it*, through a bounded
 /// ring: peak ingestion memory is `ring_capacity` records regardless of
 /// trace length. Tag/set/line fields are re-derived under the L1D
-/// geometry of `cfg`.
+/// geometry of `cfg`. This is a one-tenant [`TenantMux`] whose error
+/// fails the whole replay.
 ///
 /// # Errors
 ///
 /// [`SimError::Config`] for an invalid machine, [`SimError::Trace`] for
-/// a header or payload corruption (the strict single-stream path fails
-/// whole; [`TenantMux`] is the graceful multi-stream one).
+/// a header or payload corruption, and [`SimError::Run`] when the
+/// watchdog finds the replay wedged ([`TenantMux`] is the graceful
+/// multi-stream form, which keeps the prefix statistics instead).
 pub fn replay_stream<R: Read>(
     source: R,
     cfg: &SystemConfig,
     prefetcher: Box<dyn Prefetcher>,
     opts: StreamOpts,
 ) -> Result<StreamReplay, SimError> {
-    let opts = opts.validated();
-    cfg.validate().map_err(SimError::Config)?;
-    let mut reader = TraceReader::new(source, cfg.hierarchy.l1d)?;
-    let mut ring = BoundedRing::new(opts.ring_capacity());
-    let mut engine = ReplayEngine::new(cfg, prefetcher);
-    let mut records = 0u64;
-    let mut exhausted = false;
-    loop {
-        // Refill: pull whole chunks while a chunk's worth of room is
-        // free. The ring never exceeds its capacity; this loop is the
-        // entire ingestion memory of the pipeline.
-        while !exhausted && ring.free() >= STREAM_CHUNK {
-            match reader.next_chunk()? {
-                Some(chunk) => {
-                    for rec in chunk.records() {
-                        ring.push(rec);
-                    }
-                }
-                None => exhausted = true,
-            }
-        }
-        if ring.is_empty() {
-            break;
-        }
-        while let Some(rec) = ring.pop() {
-            engine.feed(rec);
-            records += 1;
-        }
+    cfg.validate()?;
+    let mut mux = TenantMux::new(*cfg, opts);
+    mux.add_tenant("replay", source, prefetcher);
+    // One tenant in, one result out.
+    let tenant = mux.run().swap_remove(0);
+    if let Some(e) = tenant.error {
+        return Err(e);
     }
     Ok(StreamReplay {
-        result: finish_engine(engine, records),
-        ring_high_water: ring.high_water(),
-        ring_capacity: ring.capacity(),
+        result: ReplayResult {
+            records: tenant.records,
+            cycles: tenant.cycles,
+            ipc: tenant.ipc,
+            stats: tenant.stats,
+        },
+        ring_high_water: tenant.ring_high_water,
+        ring_capacity: tenant.ring_capacity,
     })
 }
 
@@ -312,7 +284,7 @@ pub struct TenantSnapshot {
 
 /// Final outcome for one tenant of a [`TenantMux`] run.
 ///
-/// Not `Clone`: [`TraceError`] can wrap an `io::Error`.
+/// Not `Clone`: [`SimError`] can wrap an `io::Error`.
 #[derive(Debug)]
 pub struct TenantResult {
     /// Tenant name (used as the benchmark name in
@@ -322,7 +294,7 @@ pub struct TenantResult {
     pub prefetcher: String,
     /// Prefetcher table storage in bytes.
     pub prefetcher_bytes: usize,
-    /// Whole records replayed (the prefix before any corruption).
+    /// Whole records replayed (the prefix before any error).
     pub records: u64,
     /// Cycles the tenant's replay took.
     pub cycles: u64,
@@ -330,10 +302,11 @@ pub struct TenantResult {
     pub ipc: f64,
     /// Hierarchy counters (finalized).
     pub stats: HierarchyStats,
-    /// The corruption that ended this tenant's stream early, if any.
-    /// Siblings are unaffected — their results are bit-identical to
-    /// solo runs.
-    pub error: Option<TraceError>,
+    /// What ended this tenant's replay early, if anything: a trace
+    /// corruption ([`SimError::Trace`]) or a watchdog abort
+    /// ([`SimError::Run`]). Siblings are unaffected — their results are
+    /// bit-identical to solo runs.
+    pub error: Option<SimError>,
     /// Most records this tenant's ring ever held at once.
     pub ring_high_water: usize,
     /// This tenant's ring capacity in records.
@@ -357,29 +330,82 @@ impl TenantResult {
 }
 
 /// One tenant lane: its reader (until exhausted or errored), bounded
-/// ring, and private replay engine.
+/// ring, and the session that replays it.
 struct Lane<R> {
-    name: String,
-    prefetcher: String,
-    prefetcher_bytes: usize,
     reader: Option<TraceReader<R>>,
     ring: BoundedRing,
-    engine: ReplayEngine,
-    records: u64,
-    error: Option<TraceError>,
+    session: Session,
+    error: Option<SimError>,
     next_snapshot: u64,
     done: bool,
+}
+
+impl<R: Read> Lane<R> {
+    /// One round-robin turn: refill the ring, then replay one quantum.
+    fn turn(&mut self) {
+        // Refill the ring by whole chunks while a chunk's worth of room
+        // is free: the ring never exceeds its capacity, so this loop is
+        // the lane's entire ingestion memory. A decode error retires the
+        // reader but keeps the ring: whole records already decoded still
+        // replay, so the tenant's final statistics cover exactly the
+        // prefix before the corruption — same discipline as `TraceStream`.
+        while self.ring.free() >= STREAM_CHUNK {
+            let Some(reader) = self.reader.as_mut() else {
+                break;
+            };
+            match reader.next_chunk() {
+                Ok(Some(chunk)) => {
+                    for rec in chunk.records() {
+                        // tcp-lint: allow(alloc-in-hot-loop) — BoundedRing::push writes into a fixed-capacity buffer guarded by free() >= STREAM_CHUNK above
+                        self.ring.push(rec);
+                    }
+                }
+                Ok(None) => self.reader = None,
+                Err(e) => {
+                    self.error = Some(e.into());
+                    self.reader = None;
+                }
+            }
+        }
+        let ring = &mut self.ring;
+        let quantum = std::iter::from_fn(|| ring.pop()).take(QUANTUM).map(load);
+        if let Err(e) = self.session.feed(quantum) {
+            // A wedged lane retires with the statistics of the prefix it
+            // did replay, as a corrupt lane does.
+            self.error = Some(e);
+            self.done = true;
+        }
+        if self.reader.is_none() && self.ring.is_empty() {
+            self.done = true;
+        }
+    }
+
+    fn finish(self) -> TenantResult {
+        let r = self.session.finish();
+        TenantResult {
+            name: r.benchmark,
+            prefetcher: r.prefetcher,
+            prefetcher_bytes: r.prefetcher_bytes,
+            records: r.ops,
+            cycles: r.cycles,
+            ipc: r.ipc,
+            stats: r.stats,
+            error: self.error,
+            ring_high_water: self.ring.high_water(),
+            ring_capacity: self.ring.capacity(),
+        }
+    }
 }
 
 /// Interleaves K independent tenant trace streams through one run:
 /// deterministic round-robin quanta over per-tenant bounded rings, with
 /// per-tenant statistics and fault isolation.
 ///
-/// Each tenant owns its core and hierarchy, so the interleaving is an
+/// Each tenant owns its [`Session`], so the interleaving is an
 /// engine-level multiplex — one driver loop, K machines — and a
 /// tenant's cycle outputs are bit-identical to a solo [`replay_stream`]
-/// of the same trace. A corrupt tenant retires early with its
-/// [`TraceError`] and the statistics of the whole-record prefix it did
+/// of the same trace. A corrupt or wedged tenant retires early with its
+/// [`SimError`] and the statistics of the whole-record prefix it did
 /// replay; sibling tenants are untouched.
 ///
 /// # Examples
@@ -409,7 +435,7 @@ impl<R: Read> TenantMux<R> {
     /// # Panics
     ///
     /// Panics if `cfg` violates the core/hierarchy construction
-    /// constraints or `opts` is degenerate (zero ring depth or quantum).
+    /// constraints or `opts` has a zero ring depth.
     pub fn new(cfg: SystemConfig, opts: StreamOpts) -> Self {
         assert!(cfg.validate().is_ok(), "invalid machine configuration");
         TenantMux {
@@ -424,21 +450,14 @@ impl<R: Read> TenantMux<R> {
     /// a lane — the error surfaces in its [`TenantResult`], never as a
     /// construction failure that would take the batch down.
     pub fn add_tenant(&mut self, name: &str, source: R, prefetcher: Box<dyn Prefetcher>) {
-        let prefetcher_name = prefetcher.name().to_owned();
-        let prefetcher_bytes = prefetcher.storage_bytes();
-        let engine = ReplayEngine::new(&self.cfg, prefetcher);
         let (reader, error) = match TraceReader::new(source, self.cfg.hierarchy.l1d) {
             Ok(r) => (Some(r), None),
-            Err(e) => (None, Some(e)),
+            Err(e) => (None, Some(e.into())),
         };
         self.lanes.push(Lane {
-            name: name.to_owned(),
-            prefetcher: prefetcher_name,
-            prefetcher_bytes,
             reader,
             ring: BoundedRing::new(self.opts.ring_capacity()),
-            engine,
-            records: 0,
+            session: Session::validated(name, &self.cfg, prefetcher, 0, Watchdog::default()),
             error,
             next_snapshot: self.opts.snapshot_cycles,
             done: false,
@@ -459,92 +478,32 @@ impl<R: Read> TenantMux<R> {
     /// incremental [`TenantSnapshot`] (when
     /// [`StreamOpts::snapshot_cycles`] is non-zero).
     pub fn run_with(mut self, mut sink: impl FnMut(TenantSnapshot)) -> Vec<TenantResult> {
-        let quantum = self.opts.quantum;
         let every = self.opts.snapshot_cycles;
-        loop {
-            let mut active = false;
+        let mut active = true;
+        while active {
+            active = false;
             for (index, lane) in self.lanes.iter_mut().enumerate() {
                 if lane.done {
                     continue;
                 }
                 active = true;
-                // Refill this lane's ring by whole chunks. A decode
-                // error retires the reader but keeps the ring: whole
-                // records already decoded still replay, so the tenant's
-                // final statistics cover exactly the prefix before the
-                // corruption — same discipline as `TraceStream`.
-                while lane.ring.free() >= STREAM_CHUNK {
-                    let Some(reader) = lane.reader.as_mut() else {
-                        break;
-                    };
-                    match reader.next_chunk() {
-                        Ok(Some(chunk)) => {
-                            for rec in chunk.records() {
-                                // tcp-lint: allow(alloc-in-hot-loop) — BoundedRing::push writes into a fixed-capacity buffer guarded by free() >= STREAM_CHUNK above
-                                lane.ring.push(rec);
-                            }
-                        }
-                        Ok(None) => {
-                            lane.reader = None;
-                        }
-                        Err(e) => {
-                            lane.error = Some(e);
-                            lane.reader = None;
-                        }
-                    }
-                }
-                // One quantum of replay, then yield the turn.
-                let mut budget = quantum;
-                while budget > 0 {
-                    let Some(rec) = lane.ring.pop() else {
-                        break;
-                    };
-                    lane.engine.feed(rec);
-                    lane.records += 1;
-                    budget -= 1;
-                }
-                if lane.reader.is_none() && lane.ring.is_empty() {
-                    lane.done = true;
-                }
+                lane.turn();
                 if every > 0 {
-                    let cycles = lane.engine.core.cycles();
+                    let cycles = lane.session.cycles();
                     if cycles >= lane.next_snapshot {
                         sink(TenantSnapshot {
                             tenant: index,
-                            name: lane.name.clone(),
-                            records: lane.records,
+                            name: lane.session.name().to_owned(),
+                            records: lane.session.ops(),
                             cycles,
-                            l1_misses: lane.engine.hierarchy.stats().l1_misses,
+                            l1_misses: lane.session.stats().l1_misses,
                         });
                         lane.next_snapshot = cycles.saturating_add(every);
                     }
                 }
             }
-            if !active {
-                break;
-            }
         }
-        self.lanes
-            .into_iter()
-            .map(|lane| {
-                let ring_high_water = lane.ring.high_water();
-                let ring_capacity = lane.ring.capacity();
-                let records = lane.records;
-                let result = finish_engine(lane.engine, records);
-                TenantResult {
-                    name: lane.name,
-                    prefetcher: lane.prefetcher,
-                    prefetcher_bytes: lane.prefetcher_bytes,
-                    records,
-                    cycles: result.cycles,
-                    ipc: result.ipc,
-                    stats: result.stats,
-                    error: lane.error,
-                    ring_high_water,
-                    ring_capacity,
-                }
-            })
-            .collect()
+        self.lanes.into_iter().map(Lane::finish).collect()
     }
 }
 
@@ -628,6 +587,7 @@ impl Read for SyntheticTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceError;
     use tcp_analysis::read_trace;
     use tcp_cache::NullPrefetcher;
 
@@ -804,7 +764,7 @@ mod tests {
         let torn_result = &byte_sources[1];
         assert!(matches!(
             torn_result.error,
-            Some(TraceError::TruncatedMidRecord { .. })
+            Some(SimError::Trace(TraceError::TruncatedMidRecord { .. }))
         ));
         assert_eq!(
             torn_result.records, 1_199,
@@ -842,7 +802,7 @@ mod tests {
         let results = mux.run();
         assert!(matches!(
             results[0].error,
-            Some(TraceError::BadMagic { .. })
+            Some(SimError::Trace(TraceError::BadMagic { .. }))
         ));
         assert_eq!(results[0].records, 0);
         assert!(results[1].error.is_none());

@@ -81,7 +81,9 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 ///
 /// A panic inside `f` does not abort the other jobs: every remaining job
 /// still runs, and the first panic *in job order* is re-raised after all
-/// workers have finished, mirroring [`crate::map_benchmarks_parallel`].
+/// workers have finished. Callers who need panics recorded rather than
+/// propagated catch them inside `f`, as [`crate::run_suite_parallel`]
+/// does.
 ///
 /// # Panics
 ///

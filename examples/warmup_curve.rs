@@ -1,5 +1,5 @@
-//! Watch a prefetcher train: step a simulation in chunks and print the
-//! coverage/IPC curve as the pattern history table warms up.
+//! Watch a prefetcher train: feed a simulation session in chunks and
+//! print the coverage/IPC curve as the pattern history table warms up.
 //!
 //! ```text
 //! cargo run --release --example warmup_curve [benchmark] [ops]
@@ -11,7 +11,7 @@
 
 use tcp_repro::cache::Prefetcher;
 use tcp_repro::core::{Tcp, TcpConfig};
-use tcp_repro::sim::{Simulation, SystemConfig};
+use tcp_repro::sim::{Session, SystemConfig, Watchdog};
 use tcp_repro::workloads::suite;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         std::process::exit(1);
     };
     let machine = SystemConfig::table1();
-    let chunk = ops / 12;
+    let chunk = (ops / 12).max(1) as usize;
 
     println!(
         "benchmark: {} — training curves over {ops} ops\n",
@@ -34,28 +34,27 @@ fn main() {
     for cfg in [TcpConfig::tcp_8k(), TcpConfig::tcp_8m()] {
         let tcp = Tcp::new(cfg);
         let label = tcp.name().to_owned();
-        let mut sim = Simulation::new(&bench, ops, &machine, Box::new(tcp));
+        let mut sim = Session::new(bench.name, &machine, Box::new(tcp), 0, Watchdog::default())
+            .expect("Table 1 is a valid machine");
+        let mut stream = bench.generator(ops);
         println!("{label}:");
         println!(
             "  {:>10}  {:>8}  {:>9}  {:>10}",
             "ops", "IPC", "coverage", "L2 misses"
         );
-        let mut prev_ops = u64::MAX;
-        loop {
-            let p = sim.step(chunk);
+        while sim.ops() < ops {
+            if let Err(e) = sim.feed(stream.by_ref().take(chunk)) {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
             let s = sim.stats();
-            let window = s.l2_breakdown;
             println!(
                 "  {:>10}  {:>8.4}  {:>8.1}%  {:>10}",
-                p.ops,
+                sim.ops(),
                 sim.ipc(),
-                100.0 * window.coverage(),
+                100.0 * s.l2_breakdown.coverage(),
                 s.l2_demand_misses
             );
-            if p.done || p.ops == prev_ops {
-                break;
-            }
-            prev_ops = p.ops;
         }
         println!();
     }

@@ -5,13 +5,13 @@
 default: test
 
 # The exact CI gate sequence, in CI order, so local runs and ci.yml
-# cannot drift: build, tier-1 + workspace tests, formatting, clippy,
-# tcp-lint (with the injected-violation self-check), the robustness
-# gate, and the smoke perf gate against the committed baseline.
+# cannot drift: build, tier-1 tests (the whole workspace, via the root
+# manifest's default-members), formatting, clippy, tcp-lint (with the
+# injected-violation self-check), the robustness gate, and the smoke
+# perf gate against the committed baseline.
 ci:
     cargo build --release
     cargo test -q
-    cargo test --workspace -q
     cargo fmt --all --check
     cargo clippy --workspace -- -D warnings
     scripts/check-lint.sh --inject-check
@@ -22,7 +22,7 @@ ci:
 build:
     cargo build --release --workspace
 
-# Root-package tests: integration, golden, determinism, fault injection.
+# Tier-1 tests: every workspace member's unit, doc, and integration tests.
 test:
     cargo test -q
 

@@ -2,8 +2,22 @@
 
 use proptest::prelude::*;
 use tcp_cache::{HierarchyConfig, MemoryHierarchy, NullPrefetcher};
-use tcp_cpu::{CoreConfig, MicroOp, OooCore, OpClass};
+use tcp_cpu::{CoreConfig, CoreRun, MicroOp, OpClass, SteppedCore};
 use tcp_mem::Addr;
+
+/// Steps `stream` through a Table 1 core, starting measurement before op
+/// `warmup` (if it exists).
+fn run(stream: Vec<MicroOp>, warmup: usize, h: &mut MemoryHierarchy) -> CoreRun {
+    let mut core = SteppedCore::new(CoreConfig::default());
+    for (i, op) in stream.into_iter().enumerate() {
+        if i == warmup && warmup > 0 {
+            core.begin_measurement();
+            h.reset_stats();
+        }
+        core.step(op, h);
+    }
+    core.snapshot()
+}
 
 fn arbitrary_op(i: u64, kind: u8, addr: u64, dep: u32) -> MicroOp {
     let pc = Addr::new(0x400 + i * 4);
@@ -26,7 +40,7 @@ proptest! {
             ops.iter().enumerate().map(|(i, &(k, a, d))| arbitrary_op(i as u64, k, a, d)).collect();
         let n = stream.len() as u64;
         let mut h = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
-        let run = OooCore::new(CoreConfig::default()).run(stream, &mut h);
+        let run = run(stream, 0, &mut h);
         prop_assert_eq!(run.ops, n);
         prop_assert!(run.ipc() <= 8.0 + 1e-9, "cannot exceed machine width: {}", run.ipc());
         prop_assert!(run.cycles >= n / 8, "cycles {} below width floor", run.cycles);
@@ -39,7 +53,7 @@ proptest! {
         let loads = stream.iter().filter(|o| o.class == OpClass::Load).count() as u64;
         let stores = stream.iter().filter(|o| o.class == OpClass::Store).count() as u64;
         let mut h = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
-        let run = OooCore::new(CoreConfig::default()).run(stream, &mut h);
+        let run = run(stream, 0, &mut h);
         prop_assert_eq!(run.loads, loads);
         prop_assert_eq!(run.stores, stores);
         prop_assert_eq!(h.finalize().accesses(), loads + stores);
@@ -59,9 +73,9 @@ proptest! {
             .map(|(i, &(a,))| MicroOp::dependent_load(Addr::new(i as u64 * 4), Addr::new(a), 1))
             .collect();
         let mut h1 = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
-        let r_free = OooCore::new(CoreConfig::default()).run(free, &mut h1);
+        let r_free = run(free, 0, &mut h1);
         let mut h2 = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
-        let r_chained = OooCore::new(CoreConfig::default()).run(chained, &mut h2);
+        let r_chained = run(chained, 0, &mut h2);
         prop_assert!(
             r_chained.cycles >= r_free.cycles,
             "chained {} < free {}",
@@ -76,7 +90,7 @@ proptest! {
         let stream: Vec<MicroOp> =
             (0..n).map(|i| MicroOp::load(Addr::new(i * 4), Addr::new((i * 64) % (1 << 20)))).collect();
         let mut h = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
-        let run = OooCore::new(CoreConfig::default()).run_with_warmup(stream, split, &mut h);
+        let run = run(stream, split as usize, &mut h);
         prop_assert_eq!(run.ops, n - split);
         prop_assert!(run.cycles > 0);
     }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tcp_cache::NullPrefetcher;
 use tcp_core::{Tcp, TcpConfig};
-use tcp_sim::{run_benchmark, run_benchmark_warm, SystemConfig};
+use tcp_sim::{run_benchmark, Session, SystemConfig, Watchdog};
 use tcp_workloads::suite;
 
 proptest! {
@@ -23,8 +23,9 @@ proptest! {
     fn warmup_length_never_changes_measured_op_count(warm in 0u64..60_000, n in 10_000u64..40_000) {
         let benches = suite();
         let b = &benches[3]; // crafty
-        let r = run_benchmark_warm(b, warm, n, &SystemConfig::table1(), Box::new(NullPrefetcher));
-        prop_assert_eq!(r.ops, n);
+        let mut s = Session::new(b.name, &SystemConfig::table1(), Box::new(NullPrefetcher), warm, Watchdog::default()).unwrap();
+        s.feed(b.generator(warm + n)).unwrap();
+        prop_assert_eq!(s.finish().ops, n);
     }
 
     #[test]

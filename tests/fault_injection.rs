@@ -10,9 +10,10 @@ use tcp_repro::sim::faults::{
     adversarial_suite, corrupt_trace, healthy_trace_bytes, panicking_benchmark, wedged_config,
     zero_ipc_baseline, TraceFault, TRACE_FAULTS,
 };
+use tcp_repro::sim::stream::{replay_stream, StreamOpts, SyntheticTrace, TenantMux};
 use tcp_repro::sim::{
     run_suite, run_suite_parallel, try_ipc_improvement, try_run_benchmark, RunError, RunOutcome,
-    SimError, SystemConfig,
+    SimError, SystemConfig, Watchdog,
 };
 use tcp_repro::workloads::suite;
 
@@ -70,6 +71,53 @@ fn wedged_benchmark_is_aborted_by_the_watchdog_not_the_suite() {
             matches!(err, SimError::Run(RunError::Wedged { .. })),
             "expected a watchdog abort, got {err}"
         );
+    }
+}
+
+/// A miss trace long enough to cross several watchdog checkpoints.
+const WEDGE_RECORDS: u64 = 3 * Watchdog::CHECK_INTERVAL_OPS;
+
+#[test]
+fn wedged_stream_replay_is_a_typed_error() {
+    let err = replay_stream(
+        SyntheticTrace::new(WEDGE_RECORDS),
+        &wedged_config(),
+        Box::new(NullPrefetcher),
+        StreamOpts::default(),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, SimError::Run(RunError::Wedged { .. })),
+        "expected a watchdog abort, got {err}"
+    );
+}
+
+#[test]
+fn wedged_mux_retires_every_lane_with_its_prefix() {
+    let mut mux = TenantMux::new(wedged_config(), StreamOpts::default());
+    for name in ["a", "b", "c"] {
+        mux.add_tenant(
+            name,
+            SyntheticTrace::new(WEDGE_RECORDS),
+            Box::new(NullPrefetcher),
+        );
+    }
+    let results = mux.run();
+    assert_eq!(results.len(), 3);
+    for r in &results {
+        assert!(
+            matches!(r.error, Some(SimError::Run(RunError::Wedged { .. }))),
+            "{}: expected a watchdog abort, got {:?}",
+            r.name,
+            r.error
+        );
+        assert!(
+            r.records < WEDGE_RECORDS,
+            "{}: replayed {} of {WEDGE_RECORDS} records",
+            r.name,
+            r.records
+        );
+        assert!(r.cycles > 0, "{}: prefix statistics survive", r.name);
     }
 }
 

@@ -170,7 +170,7 @@ fn mid_stream_corruption_stays_inside_the_faulty_tenant() {
     // whole-record prefix (the cut lands inside record 0).
     assert!(matches!(
         results[1].error,
-        Some(TraceError::TruncatedMidRecord { .. })
+        Some(SimError::Trace(TraceError::TruncatedMidRecord { .. }))
     ));
     assert_eq!(results[1].records, 0);
 

@@ -3,9 +3,14 @@
 //! engine, memoization actually eliminates repeated simulation points,
 //! and results never depend on worker-pool width.
 
-use tcp_repro::experiments::sweep::{Job, PrefetcherSpec, SweepEngine};
+use std::fs;
+use std::path::PathBuf;
+
+use tcp_repro::cache::NullPrefetcher;
+use tcp_repro::experiments::store::SweepStore;
+use tcp_repro::experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine};
 use tcp_repro::experiments::{fig01, fig11, fig14};
-use tcp_repro::sim::SystemConfig;
+use tcp_repro::sim::{run_benchmark, try_run_benchmark, SystemConfig};
 use tcp_repro::workloads::{suite, Benchmark};
 
 const N_OPS: u64 = 60_000;
@@ -160,4 +165,38 @@ fn duplicate_jobs_simulate_once_and_share_bits() {
     assert_eq!(engine.memo_len(), 1);
     assert_eq!(results[0].cycles, results[1].cycles);
     assert_eq!(results[1].cycles, results[2].cycles);
+}
+
+#[test]
+fn zero_op_job_reports_zero_on_every_entry_point() {
+    // `run` and `run_with` fill one memo, so the same job key must get
+    // the same result from either — and from both direct runners.
+    let bench = &picks(&["gzip"])[0];
+    let machine = SystemConfig::table1();
+    let job = Job::new(bench, 0, &machine, PrefetcherSpec::Null);
+    let direct = run_benchmark(bench, 0, &machine, Box::new(NullPrefetcher));
+    let checked =
+        try_run_benchmark(bench, 0, &machine, Box::new(NullPrefetcher)).expect("valid machine");
+    let memoized = SweepEngine::with_threads(1)
+        .run(std::slice::from_ref(&job))
+        .remove(0);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("sweep-engine-zero-op");
+    if dir.exists() {
+        fs::remove_dir_all(&dir).expect("clear stale test dir");
+    }
+    let mut store = SweepStore::open(&dir).expect("open");
+    let stored = SweepEngine::with_threads(1)
+        .run_with(&mut store, &[job], &CheckpointOpts::default())
+        .expect("a zero-op job cannot fail")
+        .remove(0);
+    fs::remove_dir_all(&dir).expect("cleanup");
+    for (path, r) in [
+        ("run_benchmark", &direct),
+        ("try_run_benchmark", &checked),
+        ("SweepEngine::run", &memoized),
+        ("SweepEngine::run_with", &stored),
+    ] {
+        assert_eq!((r.cycles, r.ops), (0, 0), "{path}");
+        assert_eq!(r.ipc, 0.0, "{path}");
+    }
 }
