@@ -1,5 +1,5 @@
 //! Per-function basic-block control-flow graphs over the raw token
-//! stream, for the flow-sensitive v4 passes.
+//! stream, for the flow-sensitive index-bounds rule.
 //!
 //! The builder walks a function body (the token range recorded by the
 //! parser in [`crate::ast::BodyFacts`]) and assigns every token to a
@@ -11,12 +11,11 @@
 //! builder mislabels can only land in a block with *more* dominators
 //! than the truth, never fewer findings' worth of evidence (see below).
 //!
-//! On the block graph the module computes the dominator tree (iterative
-//! bit-set dataflow) and natural loops (back edges whose head dominates
-//! their tail, with nesting depth by header containment). Consumers ask
-//! two questions: does the block holding token A dominate the block
-//! holding token B (`dominates`), and which natural loops — with what
-//! headers and depth — enclose a token (`loops`).
+//! On the block graph the module computes dominator sets (iterative
+//! bit-set dataflow) and answers one question: does the block holding
+//! token A dominate the block holding token B (`dominates`). Loops are
+//! recorded once, by the parser ([`crate::ast::LoopSite`]); the walker
+//! here only needs their bodies and back edges.
 //!
 //! Conservatism: dominance is used to *kill* findings (a dominating
 //! bound check clears an index site), and killing is the safe,
@@ -25,25 +24,8 @@
 //! evidence anywhere clears sites inside them — degrading to the old
 //! flow-insensitive behavior rather than inventing findings.
 
-use crate::ast::BodyFacts;
-use crate::lexer::{TokKind, Token};
-
-/// One natural loop of the function.
-#[derive(Debug)]
-pub struct LoopInfo {
-    /// 1-based line of the loop keyword.
-    pub line: u32,
-    /// Token index of the loop keyword (`for`/`while`/`loop`).
-    pub keyword: usize,
-    /// Token index of the body's `{`.
-    pub body_open: usize,
-    /// Token index of the body's `}`.
-    pub body_close: usize,
-    /// Identifier texts appearing in the loop header.
-    pub header_idents: Vec<String>,
-    /// Nesting depth: 1 for an outermost loop.
-    pub depth: u32,
-}
+use crate::ast::{find_body_open, BodyFacts};
+use crate::lexer::{is_ident, is_open, is_punct, matching, stmt_end, TokKind, Token};
 
 /// A function body's control-flow graph with dominator sets.
 #[derive(Debug)]
@@ -54,48 +36,15 @@ pub struct Cfg {
     close: usize,
     /// Block id per token offset from `open`.
     label: Vec<u32>,
-    /// Dominator bit sets, one `Vec<u64>` row per block.
+    /// Dominator bit sets, one `Vec<u64>` row per block; empty when the
+    /// block cap was exceeded.
     dom: Vec<Vec<u64>>,
-    /// Natural loops in source order.
-    pub loops: Vec<LoopInfo>,
 }
 
 /// Blocks past this count abandon flow sensitivity for the function:
 /// every dominance query answers `true` (the flow-insensitive, finding-
 /// killing default). No workspace function comes close.
 const MAX_BLOCKS: usize = 4096;
-
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
-}
-
-fn is_open(t: &Token) -> bool {
-    is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{")
-}
-
-fn is_close(t: &Token) -> bool {
-    is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}")
-}
-
-/// Index of the delimiter closing the group opened at `open`.
-fn matching(toks: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
 
 /// Loop context during the walk: where `continue` and `break` go.
 #[derive(Clone, Copy)]
@@ -104,23 +53,12 @@ struct LoopCtx {
     exit: u32,
 }
 
-/// A syntactic loop recorded during the walk, matched with the
-/// dominator-confirmed back edges afterwards.
-struct SynLoop {
-    header_block: u32,
-    keyword: usize,
-    body_open: usize,
-    body_close: usize,
-    header_idents: Vec<String>,
-}
-
 struct Builder<'a> {
     toks: &'a [Token],
     open: usize,
     close: usize,
     label: Vec<u32>,
     preds: Vec<Vec<u32>>,
-    syn_loops: Vec<SynLoop>,
 }
 
 /// Block id 0 is the entry; block 1 the virtual exit.
@@ -152,39 +90,6 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Finds the `{` opening a control-flow body, scanning from `i`.
-    /// `Foo {` (capitalised owner) is a struct pattern/literal, not a
-    /// body — its group is skipped. Bails at a depth-zero `;` or at
-    /// `limit`.
-    fn find_body_open(&self, mut i: usize, limit: usize) -> Option<usize> {
-        while i < limit {
-            let t = &self.toks[i];
-            if is_punct(t, ";") {
-                return None;
-            }
-            if is_punct(t, "{") {
-                let owner_is_type = i > 0
-                    && self.toks[i - 1].kind == TokKind::Ident
-                    && self.toks[i - 1]
-                        .text
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_uppercase());
-                if owner_is_type {
-                    i = matching(self.toks, i).map_or(limit, |c| c + 1);
-                    continue;
-                }
-                return Some(i);
-            }
-            if is_punct(t, "(") || is_punct(t, "[") {
-                i = matching(self.toks, i).map_or(limit, |c| c + 1);
-                continue;
-            }
-            i += 1;
-        }
-        None
-    }
-
     /// Walks `[i, end)` as a statement sequence in block `cur`; returns
     /// the block control falls out of.
     fn walk(&mut self, mut i: usize, end: usize, mut cur: u32, lctx: Option<LoopCtx>) -> u32 {
@@ -207,7 +112,7 @@ impl<'a> Builder<'a> {
                         }
                     }
                     "for" | "while" | "loop" => {
-                        if let Some((next, out)) = self.walk_loop(i, end, cur, lctx) {
+                        if let Some((next, out)) = self.walk_loop(i, end, cur) {
                             cur = out;
                             i = next;
                             continue;
@@ -266,25 +171,14 @@ impl<'a> Builder<'a> {
     }
 
     /// Index just past the `;` ending the statement at `i` (or `end`).
-    fn stmt_end(&self, mut i: usize, end: usize) -> usize {
-        while i < end {
-            let t = &self.toks[i];
-            if is_punct(t, ";") {
-                return i + 1;
-            }
-            if is_open(t) {
-                i = matching(self.toks, i).map_or(end, |c| c + 1);
-                continue;
-            }
-            i += 1;
-        }
-        end
+    fn stmt_end(&self, i: usize, end: usize) -> usize {
+        (stmt_end(self.toks, i, end) + 1).min(end)
     }
 
     /// At the `if` keyword. Returns (index past the construct, join
     /// block).
     fn walk_if(&mut self, i: usize, end: usize, cur: u32, lctx: Option<LoopCtx>) -> (usize, u32) {
-        let Some(then_open) = self.find_body_open(i + 1, end) else {
+        let Some(then_open) = find_body_open(self.toks, i + 1, end) else {
             // `if` we cannot follow: stay in the current block.
             self.set(i, cur);
             return (i + 1, cur);
@@ -349,7 +243,7 @@ impl<'a> Builder<'a> {
         cur: u32,
         lctx: Option<LoopCtx>,
     ) -> Option<(usize, u32)> {
-        let body_open = self.find_body_open(i + 1, end)?;
+        let body_open = find_body_open(self.toks, i + 1, end)?;
         let body_close = matching(self.toks, body_open).filter(|&c| c <= end)?;
         self.label_range(i, body_open + 1, cur);
         self.set(body_close, cur);
@@ -424,25 +318,13 @@ impl<'a> Builder<'a> {
 
     /// At a `for`/`while`/`loop` keyword: header block, body block(s)
     /// with a back edge, and an exit block.
-    fn walk_loop(
-        &mut self,
-        i: usize,
-        end: usize,
-        cur: u32,
-        _lctx: Option<LoopCtx>,
-    ) -> Option<(usize, u32)> {
-        let body_open = self.find_body_open(i + 1, end)?;
+    fn walk_loop(&mut self, i: usize, end: usize, cur: u32) -> Option<(usize, u32)> {
+        let body_open = find_body_open(self.toks, i + 1, end)?;
         let body_close = matching(self.toks, body_open).filter(|&c| c <= end)?;
         let header = self.new_block();
         self.edge(cur, header);
         self.label_range(i, body_open + 1, header);
         self.set(body_close, header);
-        let mut header_idents = Vec::new();
-        for t in &self.toks[i + 1..body_open] {
-            if t.kind == TokKind::Ident {
-                header_idents.push(t.text.clone());
-            }
-        }
         let exit = self.new_block();
         self.edge(header, exit);
         let body_blk = self.new_block();
@@ -450,13 +332,6 @@ impl<'a> Builder<'a> {
         let ctx = LoopCtx { header, exit };
         let out = self.walk(body_open + 1, body_close, body_blk, Some(ctx));
         self.edge(out, header);
-        self.syn_loops.push(SynLoop {
-            header_block: header,
-            keyword: i,
-            body_open,
-            body_close,
-            header_idents,
-        });
         Some((body_close + 1, exit))
     }
 }
@@ -473,82 +348,24 @@ impl Cfg {
             close,
             label: vec![ENTRY; n_toks],
             preds: vec![Vec::new(), Vec::new()], // entry, exit
-            syn_loops: Vec::new(),
         };
         if close > open {
             let out = b.walk(open + 1, close, ENTRY, None);
             b.edge(out, EXIT);
         }
+        // Past the block cap `dominates` answers true (see module docs).
         let n = b.preds.len();
-        let words = n.div_ceil(64);
-        let mut cfg = Cfg {
+        let dom = if n > MAX_BLOCKS {
+            Vec::new()
+        } else {
+            dominators(&b.preds, n.div_ceil(64))
+        };
+        Cfg {
             open,
             close,
             label: b.label,
-            dom: Vec::new(),
-            loops: Vec::new(),
-        };
-        if n > MAX_BLOCKS {
-            // Degenerate: `dominates` answers true (see module docs);
-            // loops fall back to the syntactic records at syntactic
-            // depth order.
-            for (depth0, s) in b.syn_loops.iter().enumerate() {
-                let depth = 1 + b
-                    .syn_loops
-                    .iter()
-                    .take(depth0)
-                    .filter(|o| o.body_open < s.keyword && s.body_close <= o.body_close)
-                    .count() as u32;
-                cfg.loops.push(LoopInfo {
-                    line: toks[s.keyword].line,
-                    keyword: s.keyword,
-                    body_open: s.body_open,
-                    body_close: s.body_close,
-                    header_idents: s.header_idents.clone(),
-                    depth,
-                });
-            }
-            return cfg;
+            dom,
         }
-        cfg.dom = dominators(&b.preds, words);
-        // Natural loops: the walker's syntactic loops whose back edge
-        // (body-out → header) the dominator tree confirms. The builder
-        // only creates header-targeted edges for loop constructs, so
-        // confirmation means checking the header dominates some pred of
-        // itself.
-        let confirmed: Vec<&SynLoop> = b
-            .syn_loops
-            .iter()
-            .filter(|s| {
-                let h = s.header_block as usize;
-                b.preds[h].iter().any(|&p| bit(&cfg.dom[p as usize], h))
-            })
-            .collect();
-        let mut loops: Vec<LoopInfo> = confirmed
-            .iter()
-            .map(|s| LoopInfo {
-                line: toks[s.keyword].line,
-                keyword: s.keyword,
-                body_open: s.body_open,
-                body_close: s.body_close,
-                header_idents: s.header_idents.clone(),
-                depth: 1,
-            })
-            .collect();
-        // Depth by token containment: a loop nested in k others has
-        // depth k+1. Token ranges nest properly, so containment is the
-        // natural-loop nesting.
-        let spans: Vec<(usize, usize)> = loops.iter().map(|l| (l.keyword, l.body_close)).collect();
-        for (li, l) in loops.iter_mut().enumerate() {
-            l.depth = 1 + spans
-                .iter()
-                .enumerate()
-                .filter(|&(oi, &(ks, kc))| oi != li && ks < l.keyword && l.body_close <= kc)
-                .count() as u32;
-        }
-        loops.sort_by_key(|l| l.keyword);
-        cfg.loops = loops;
-        cfg
     }
 
     /// Block id of a token (entry for tokens outside the body).
@@ -569,14 +386,6 @@ impl Cfg {
         let a = self.block_at(a_tok);
         let b = self.block_at(b_tok);
         bit(&self.dom[b], a)
-    }
-
-    /// The innermost natural loop whose body contains `tok`, if any.
-    pub fn innermost_loop_at(&self, tok: usize) -> Option<&LoopInfo> {
-        self.loops
-            .iter()
-            .filter(|l| l.body_open < tok && tok < l.body_close)
-            .max_by_key(|l| l.depth)
     }
 }
 
@@ -621,21 +430,21 @@ fn dominators(preds: &[Vec<u32>], words: usize) -> Vec<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{parse, Item};
+    use crate::ast::{parse, Item, LoopSite};
     use crate::lexer::lex;
     use crate::lints::test_mask;
 
     /// Builds the CFG of the first fn in `src` and returns it with the
-    /// token stream.
-    fn cfg_of(src: &str) -> (Vec<Token>, Cfg) {
+    /// token stream and the parser's loop list.
+    fn cfg_of(src: &str) -> (Vec<Token>, Cfg, Vec<LoopSite>) {
         let lx = lex(src);
         let mask = test_mask(&lx.tokens, crate::FileKind::Lib);
         let ast = parse(&lx.tokens, &mask);
-        for it in &ast.items {
+        for it in ast.items {
             if let Item::Fn(f) = it {
-                let body = f.body.as_ref().expect("body");
-                let cfg = Cfg::build(&lx.tokens, body);
-                return (lx.tokens, cfg);
+                let body = f.body.expect("body");
+                let cfg = Cfg::build(&lx.tokens, &body);
+                return (lx.tokens, cfg, body.loops);
             }
         }
         panic!("no fn in source");
@@ -653,17 +462,17 @@ mod tests {
 
     #[test]
     fn straight_line_is_one_dominating_block() {
-        let (toks, cfg) = cfg_of("fn f(a: u64) -> u64 { let b = a; let c = b; c }");
+        let (toks, cfg, loops) = cfg_of("fn f(a: u64) -> u64 { let b = a; let c = b; c }");
         let b = tok_at(&toks, "b", 0);
         let c = tok_at(&toks, "c", 0);
         assert!(cfg.dominates(b, c));
         assert!(cfg.dominates(c, b), "same block dominates both ways");
-        assert!(cfg.loops.is_empty());
+        assert!(loops.is_empty());
     }
 
     #[test]
     fn condition_dominates_then_branch_but_branch_not_join() {
-        let (toks, cfg) = cfg_of(
+        let (toks, cfg, _) = cfg_of(
             "fn f(n: u64) -> u64 {\n\
                 let pre = 1;\n\
                 if n > pre {\n\
@@ -689,7 +498,7 @@ mod tests {
 
     #[test]
     fn else_branches_do_not_dominate_each_other() {
-        let (toks, cfg) = cfg_of(
+        let (toks, cfg, _) = cfg_of(
             "fn f(n: u64) -> u64 {\n\
                 let mut out = 0;\n\
                 if n > 1 { let a = 1; out += a; } else { let b = 2; out += b; }\n\
@@ -706,7 +515,7 @@ mod tests {
 
     #[test]
     fn match_arms_are_parallel_blocks() {
-        let (toks, cfg) = cfg_of(
+        let (toks, cfg, _) = cfg_of(
             "fn f(n: u64) -> u64 {\n\
                 match n {\n\
                     0 => { let x = 1; x }\n\
@@ -726,7 +535,7 @@ mod tests {
 
     #[test]
     fn loop_headers_dominate_bodies_and_loops_nest_with_depth() {
-        let (toks, cfg) = cfg_of(
+        let (toks, cfg, loops) = cfg_of(
             "fn f(n: u64) -> u64 {\n\
                 let mut acc = 0;\n\
                 for cycle in 0..n {\n\
@@ -737,18 +546,10 @@ mod tests {
                 acc\n\
              }",
         );
-        assert_eq!(cfg.loops.len(), 2, "both loops are natural loops");
-        let outer = &cfg.loops[0];
-        let inner = &cfg.loops[1];
-        assert_eq!(outer.depth, 1);
-        assert_eq!(inner.depth, 2);
+        assert_eq!(loops.len(), 2, "both loops are natural loops");
+        let outer = &loops[0];
         assert!(outer.header_idents.contains(&"cycle".to_owned()));
         let acc_in_body = tok_at(&toks, "acc", 2); // acc += 1
-        assert_eq!(
-            cfg.innermost_loop_at(acc_in_body).map(|l| l.depth),
-            Some(2),
-            "innermost loop wins"
-        );
         let hdr_cycle = tok_at(&toks, "cycle", 0);
         assert!(
             cfg.dominates(hdr_cycle, acc_in_body),
@@ -765,7 +566,7 @@ mod tests {
     fn code_after_return_degrades_to_dominated_by_everything() {
         // Orphaned code keeps the ⊤ dominator set: evidence anywhere
         // kills findings inside it — the safe direction.
-        let (toks, cfg) = cfg_of(
+        let (toks, cfg, _) = cfg_of(
             "fn f(n: u64) -> u64 {\n\
                 if n > 0 { let a = 1; return a; }\n\
                 let b = 2;\n\

@@ -1,4 +1,4 @@
-//! Intra-procedural dataflow engine for the tcp-lint v3 passes.
+//! Intra-procedural dataflow engine for the tcp-lint dataflow rows.
 //!
 //! Each parsed function body is lowered into a list of assignment
 //! statements (`let` bindings and plain `name = …` / `name op= …`
@@ -15,13 +15,9 @@
 //!   brackets. Container contents are not their index — `deques[worker]`
 //!   taints nothing — which is what keeps the deterministic
 //!   work-stealing executor clean.
-//! - **Intervals** — a conservative constant/interval lattice for
-//!   literals and simple `+`/`-`/`*`/`<<` arithmetic over known values,
-//!   evaluated with Rust precedence. Anything the evaluator cannot
-//!   follow is ⊤ (absent), never a guess.
 //!
 //! On top of the fixpoint environment the engine extracts the *fact
-//! lists* the four v3 lints consume: live `Mutex`-guard ranges and
+//! lists* the dataflow rows consume: live `Mutex`-guard ranges and
 //! `.lock()` call sites (lock-discipline), tagged unchecked arithmetic
 //! (overflow-provenance), unguarded composite index expressions
 //! (index-bounds), and worker-identity values reaching returns or stat
@@ -35,7 +31,9 @@
 
 use crate::ast::{BodyFacts, Callee, FnDef};
 use crate::cfg::Cfg;
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{
+    is_ident, is_open, is_punct, matching, starts_statement, stmt_end, TokKind, Token,
+};
 use std::collections::BTreeMap;
 
 /// Provenance tag bitset.
@@ -59,9 +57,6 @@ pub const TAG_LOOP: Tags = 1 << 6;
 /// The tags that make unchecked arithmetic a finding.
 const ARITH_TAGS: Tags = TAG_CYCLE | TAG_ADDR | TAG_TAG | TAG_STAT;
 
-/// Inclusive interval of possible values, when statically known.
-pub type Interval = (i128, i128);
-
 /// A `let`-bound lock guard and the token range it is live over.
 #[derive(Debug)]
 pub struct GuardRange {
@@ -69,8 +64,6 @@ pub struct GuardRange {
     pub name: String,
     /// 1-based line of the binder.
     pub line: u32,
-    /// 1-based column of the binder.
-    pub col: u32,
     /// Normalized receiver text of the `.lock()` that made the guard
     /// (`m`, `self.deques[victim]`, …) — textual identity, so distinct
     /// index expressions never alias.
@@ -111,8 +104,6 @@ pub struct Violation {
 pub struct FnFlow {
     /// Fixpoint provenance environment: identifier → tags.
     pub tags: BTreeMap<String, Tags>,
-    /// Fixpoint interval environment: identifier → known interval.
-    pub intervals: BTreeMap<String, Interval>,
     /// Live `let`-bound lock-guard ranges.
     pub guards: Vec<GuardRange>,
     /// Every `.lock()` call site.
@@ -123,8 +114,6 @@ pub struct FnFlow {
     pub index: Vec<Violation>,
     /// nondet-taint violations.
     pub taint: Vec<Violation>,
-    /// The body's control-flow graph (present after a full analysis).
-    pub cfg: Option<Cfg>,
 }
 
 /// One lowered assignment statement.
@@ -133,38 +122,6 @@ struct Assign {
     binder: String,
     /// RHS token range (start inclusive, end exclusive).
     rhs: (usize, usize),
-}
-
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
-}
-
-fn is_open(t: &Token) -> bool {
-    is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{")
-}
-
-fn is_close(t: &Token) -> bool {
-    is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}")
-}
-
-/// Index of the delimiter closing the group opened at `open`.
-fn matching(toks: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
 }
 
 /// Whether a name is const/type-like (contains an uppercase letter):
@@ -234,13 +191,8 @@ const ASSIGN_OPS: [&str; 11] = [
     "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
 ];
 
-/// Runs the engine over one function body. Returns `None` when the
-/// function has no body.
-pub fn analyze(toks: &[Token], in_test: &[bool], def: &FnDef) -> Option<FnFlow> {
-    analyze_with(toks, in_test, def, &BTreeMap::new(), true)
-}
-
-/// The v4 entry point. `call_tags` maps a call site's `(` token index
+/// Runs the engine over one function body; `None` when the function
+/// has no body. `call_tags` maps a call site's `(` token index
 /// to the provenance tags the callee returns (from the interprocedural
 /// summaries) — an assignment whose RHS contains such a call seeds the
 /// binder with those tags, so taint and overflow provenance survive
@@ -259,14 +211,14 @@ pub fn analyze_with(
 
     // ---- Seed: parameters and their names. -------------------------
     for p in &def.params {
-        let entry = flow.tags.entry(p.name.clone()).or_insert(0);
-        *entry |= seed_tags(&p.name);
+        let entry = flow.tags.entry(p.clone()).or_insert(0);
+        *entry |= seed_tags(p);
     }
 
     // ---- Lower: assignment statements and loop binders. ------------
     let assigns = collect_assigns(toks, body, &mut flow);
 
-    // ---- Fixpoint over the tag + interval environment. -------------
+    // ---- Fixpoint over the tag environment. --------------------------
     // A linear pass can miss chains that appear in reverse source
     // order (`a = b; let b = cycle;` in a loop), so iterate until
     // stable; the domain is finite and joins are monotone, so this
@@ -284,12 +236,6 @@ pub fn analyze_with(
                 *entry |= want;
                 changed = true;
             }
-            if let Some(iv) = eval_interval(toks, a.rhs.0, a.rhs.1, &flow.intervals) {
-                if flow.intervals.get(&a.binder) != Some(&iv) {
-                    flow.intervals.insert(a.binder.clone(), iv);
-                    changed = true;
-                }
-            }
         }
         if !changed {
             break;
@@ -300,11 +246,9 @@ pub fn analyze_with(
     collect_locks(toks, body, &mut flow);
     collect_guards(toks, body, &mut flow);
     if full {
-        let cfg = Cfg::build(toks, body);
         overflow_pass(toks, in_test, body, &mut flow);
-        index_pass(toks, in_test, body, &cfg, &mut flow);
-        taint_pass(toks, in_test, body, &assigns, call_tags, &mut flow);
-        flow.cfg = Some(cfg);
+        index_pass(toks, in_test, body, &Cfg::build(toks, body), &mut flow);
+        taint_pass(toks, in_test, body, call_tags, &mut flow);
     }
     Some(flow)
 }
@@ -423,32 +367,16 @@ fn collect_assigns(toks: &[Token], body: &BodyFacts, flow: &mut FnFlow) -> Vec<A
             i += 1;
             continue;
         }
-        // Plain re-assignment at a statement start: `name op= rhs ;`.
+        // Re-assignment at a statement start: `name = rhs ;` (but not
+        // `name = = …`) or `name op= rhs ;`.
+        let assign_op = toks
+            .get(i + 1)
+            .filter(|n| n.kind == TokKind::Punct && ASSIGN_OPS.contains(&n.text.as_str()));
         if t.kind == TokKind::Ident
-            && i > 0
-            && (is_punct(&toks[i - 1], ";")
-                || is_punct(&toks[i - 1], "{")
-                || is_punct(&toks[i - 1], "}"))
-            && toks
-                .get(i + 1)
-                .is_some_and(|n| n.kind == TokKind::Punct && ASSIGN_OPS.contains(&n.text.as_str()))
-            && !is_punct(&toks[i + 1], "=")
-        {
-            // `x = …` (plain =) also matches via the branch below; the
-            // op= family lands here.
-            let rhs_start = i + 2;
-            let rhs_end = stmt_end(toks, rhs_start, body.close);
-            out.push(Assign {
-                binder: t.text.clone(),
-                rhs: (rhs_start, rhs_end),
-            });
-        } else if t.kind == TokKind::Ident
-            && i > 0
-            && (is_punct(&toks[i - 1], ";")
-                || is_punct(&toks[i - 1], "{")
-                || is_punct(&toks[i - 1], "}"))
-            && toks.get(i + 1).is_some_and(|n| is_punct(n, "="))
-            && !toks.get(i + 2).is_some_and(|n| is_punct(n, "="))
+            && starts_statement(toks, i)
+            && assign_op.is_some_and(|op| {
+                op.text != "=" || !toks.get(i + 2).is_some_and(|n| is_punct(n, "="))
+            })
         {
             let rhs_start = i + 2;
             let rhs_end = stmt_end(toks, rhs_start, body.close);
@@ -460,23 +388,6 @@ fn collect_assigns(toks: &[Token], body: &BodyFacts, flow: &mut FnFlow) -> Vec<A
         i += 1;
     }
     out
-}
-
-/// Index of the `;` (exclusive end) terminating the statement starting
-/// at `i`, skipping nested delimiter groups.
-fn stmt_end(toks: &[Token], mut i: usize, close: usize) -> usize {
-    while i < close {
-        let t = &toks[i];
-        if is_punct(t, ";") {
-            return i;
-        }
-        if is_open(t) {
-            i = matching(toks, i).map_or(close, |c| c + 1);
-            continue;
-        }
-        i += 1;
-    }
-    close
 }
 
 /// Union of tags over identifiers in `[start, end)` that sit *outside*
@@ -523,116 +434,6 @@ fn tainted_ident_in(
         i += 1;
     }
     None
-}
-
-/// Interval evaluation of `[start, end)` with Rust precedence
-/// (`*` over `+`/`-` over `<<`). Returns `None` — ⊤ — on any token the
-/// evaluator does not understand, so a known interval is always sound.
-fn eval_interval(
-    toks: &[Token],
-    start: usize,
-    end: usize,
-    env: &BTreeMap<String, Interval>,
-) -> Option<Interval> {
-    let end = end.min(toks.len());
-    // Atoms: integer literals and idents with known intervals.
-    // Operators: + - * <<, left-associative within a precedence level.
-    let mut atoms: Vec<Interval> = Vec::new();
-    let mut ops: Vec<String> = Vec::new();
-    let mut expect_atom = true;
-    for t in &toks[start..end] {
-        if expect_atom {
-            let iv = match t.kind {
-                TokKind::Int => {
-                    let v = parse_int(&t.text)?;
-                    (v, v)
-                }
-                TokKind::Ident => *env.get(&t.text)?,
-                TokKind::Lifetime
-                | TokKind::Str
-                | TokKind::Char
-                | TokKind::Float
-                | TokKind::Punct => return None,
-            };
-            atoms.push(iv);
-            expect_atom = false;
-        } else {
-            if !(t.kind == TokKind::Punct && matches!(t.text.as_str(), "+" | "-" | "*" | "<<")) {
-                return None;
-            }
-            ops.push(t.text.clone());
-            expect_atom = true;
-        }
-    }
-    if expect_atom || atoms.is_empty() {
-        return None;
-    }
-    // Reduce one precedence level at a time: * first, then +/-, then <<.
-    for level in [&["*"][..], &["+", "-"][..], &["<<"][..]] {
-        let mut new_atoms = vec![atoms[0]];
-        let mut new_ops: Vec<String> = Vec::new();
-        for (op, &rhs) in ops.iter().zip(&atoms[1..]) {
-            if level.contains(&op.as_str()) {
-                let lhs = new_atoms.pop()?;
-                new_atoms.push(apply_op(op, lhs, rhs)?);
-            } else {
-                new_ops.push(op.clone());
-                new_atoms.push(rhs);
-            }
-        }
-        atoms = new_atoms;
-        ops = new_ops;
-    }
-    if atoms.len() == 1 {
-        Some(atoms[0])
-    } else {
-        None
-    }
-}
-
-fn parse_int(text: &str) -> Option<i128> {
-    let t = text.replace('_', "");
-    let t = t
-        .trim_end_matches(|c: char| c.is_ascii_alphabetic())
-        .to_owned();
-    let digits = if let Some(h) = t.strip_prefix("0x") {
-        i128::from_str_radix(h, 16)
-    } else if let Some(b) = t.strip_prefix("0b") {
-        i128::from_str_radix(b, 2)
-    } else if let Some(o) = t.strip_prefix("0o") {
-        i128::from_str_radix(o, 8)
-    } else {
-        t.parse()
-    };
-    digits.ok()
-}
-
-fn apply_op(op: &str, (al, ah): Interval, (bl, bh): Interval) -> Option<Interval> {
-    let combine = |f: fn(i128, i128) -> Option<i128>| -> Option<Interval> {
-        let mut lo = i128::MAX;
-        let mut hi = i128::MIN;
-        for a in [al, ah] {
-            for b in [bl, bh] {
-                let v = f(a, b)?;
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        Some((lo, hi))
-    };
-    match op {
-        "+" => combine(i128::checked_add),
-        "-" => combine(i128::checked_sub),
-        "*" => combine(i128::checked_mul),
-        "<<" => combine(|a, b| {
-            if (0..64).contains(&b) {
-                a.checked_shl(b as u32)
-            } else {
-                None
-            }
-        }),
-        _ => None,
-    }
 }
 
 /// Records every `.lock()` call with its normalized receiver text.
@@ -695,7 +496,6 @@ fn collect_guards(toks: &[Token], body: &BodyFacts, flow: &mut FnFlow) {
             flow.guards.push(GuardRange {
                 name: binder.text.clone(),
                 line: binder.line,
-                col: binder.col,
                 mutex: lock.recv.clone(),
                 start,
                 end,
@@ -811,9 +611,7 @@ fn overflow_pass(toks: &[Token], in_test: &[bool], body: &BodyFacts, flow: &mut 
             line: t.line,
             col: t.col,
             what: format!(
-                "unchecked `{} {} {}` on a {prov}-provenance u64 can wrap silently; \
-                 use `wrapping_*`/`checked_*` to state the intent, or waive with the \
-                 bound that rules the overflow out",
+                "unchecked `{} {} {}` on a {prov}-provenance u64 can wrap silently",
                 prev.text, t.text, next.text
             ),
         });
@@ -827,8 +625,7 @@ fn overflow_pass(toks: &[Token], in_test: &[bool], body: &BodyFacts, flow: &mut 
 /// and skipped). Bound evidence that clears a site: the exact
 /// expression followed by `<`/`<=` (an `assert!`, `if`, `while`, or
 /// `for` header) in a basic block that *dominates* the index site — a
-/// check inside a sibling branch clears nothing — or an all-constant
-/// interval.
+/// check inside a sibling branch clears nothing.
 fn index_pass(toks: &[Token], in_test: &[bool], body: &BodyFacts, cfg: &Cfg, flow: &mut FnFlow) {
     for i in body.open + 1..body.close {
         if in_test.get(i).copied().unwrap_or(false) {
@@ -865,12 +662,6 @@ fn index_pass(toks: &[Token], in_test: &[bool], body: &BodyFacts, cfg: &Cfg, flo
             })
             .count();
         if !simple || n_ops == 0 {
-            continue;
-        }
-        // A known interval means every atom is a constant through the
-        // lattice (`let w = 8; xs[w - 1]`) — bound evidence of the
-        // compile-time kind, rustc's own const checking territory.
-        if eval_interval(toks, i + 1, close, &flow.intervals).is_some() {
             continue;
         }
         // Token-scan offsets (`toks[i + 1]`, `v[rank - 1]`) have one
@@ -916,9 +707,8 @@ fn index_pass(toks: &[Token], in_test: &[bool], body: &BodyFacts, cfg: &Cfg, flo
             line: toks[i].line,
             col: toks[i].col,
             what: format!(
-                "`{}[{expr_text}]` indexes with a composite expression no dominating \
-                 check bounds; assert `{expr_text} < {}.len()` first, bind the index \
-                 to a name and check it, or waive with the invariant that bounds it",
+                "`{}[{expr_text}]` indexes with a composite expression that no \
+                 dominating check such as `{expr_text} < {}.len()` bounds",
                 recv.text, recv.text
             ),
         });
@@ -933,7 +723,6 @@ fn taint_pass(
     toks: &[Token],
     in_test: &[bool],
     body: &BodyFacts,
-    assigns: &[Assign],
     call_tags: &BTreeMap<usize, Tags>,
     flow: &mut FnFlow,
 ) {
@@ -964,8 +753,7 @@ fn taint_pass(
                 col: toks[i].col,
                 what: format!(
                     "worker/thread-identity value `{name}` flows into this function's \
-                     return value; results must not depend on which worker computed \
-                     them — derive the value from the job, not the worker"
+                     return value"
                 ),
             });
         }
@@ -975,11 +763,7 @@ fn taint_pass(
     // field chains whose receiver mentions a stats name.
     let mut i = body.open + 1;
     while i < body.close {
-        let stmt_start = toks
-            .get(i.wrapping_sub(1))
-            .map(|p| is_punct(p, ";") || is_punct(p, "{") || is_punct(p, "}"))
-            .unwrap_or(true);
-        if !(stmt_start && toks[i].kind == TokKind::Ident)
+        if !(starts_statement(toks, i) && toks[i].kind == TokKind::Ident)
             || in_test.get(i).copied().unwrap_or(false)
         {
             i += 1;
@@ -1007,8 +791,7 @@ fn taint_pass(
                     line: toks[i].line,
                     col: toks[i].col,
                     what: format!(
-                        "worker/thread-identity value `{name}` is written into a stats \
-                         field; reported statistics must be scheduling-independent"
+                        "worker/thread-identity value `{name}` is written into a stats field"
                     ),
                 });
             }
@@ -1017,9 +800,6 @@ fn taint_pass(
         }
         i += 1;
     }
-    // Silence the unused warning path: assigns already drove the
-    // fixpoint; the taint sinks only need the stable environment.
-    let _ = assigns;
 }
 
 #[cfg(test)]
@@ -1034,7 +814,7 @@ mod tests {
         let ast = crate::ast::parse(&lx.tokens, &mask);
         for it in &ast.items {
             if let crate::ast::Item::Fn(f) = it {
-                return analyze(&lx.tokens, &mask, f).expect("body");
+                return analyze_with(&lx.tokens, &mask, f, &BTreeMap::new(), true).expect("body");
             }
         }
         panic!("no fn in source");
@@ -1088,26 +868,6 @@ mod tests {
             0,
             "indexing by worker must not taint the element"
         );
-    }
-
-    #[test]
-    fn intervals_evaluate_with_precedence() {
-        let flow =
-            flow_of("fn f() -> u64 { let a = 4; let b = a * 2 + 1; let c = 1 + 2 * 3; b + c }");
-        assert_eq!(flow.intervals.get("a"), Some(&(4, 4)));
-        assert_eq!(flow.intervals.get("b"), Some(&(9, 9)));
-        assert_eq!(
-            flow.intervals.get("c"),
-            Some(&(7, 7)),
-            "precedence: 1 + 2*3 = 7"
-        );
-    }
-
-    #[test]
-    fn unknown_rhs_is_top_not_a_guess() {
-        let flow = flow_of("fn f(n: u64) -> u64 { let a = n; let b = a + 1; b }");
-        assert_eq!(flow.intervals.get("a"), None);
-        assert_eq!(flow.intervals.get("b"), None);
     }
 
     #[test]
@@ -1190,7 +950,7 @@ mod tests {
         );
         assert!(
             !lines.contains(&9),
-            "known interval through the lattice clears it"
+            "one runtime ident + offset clears it without constant folding"
         );
     }
 

@@ -459,6 +459,70 @@ fn lex_punct(c: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
     });
 }
 
+// ---- Token-stream helpers shared by every pass. ----------------------
+
+/// Is this token the punctuation `s`?
+pub fn is_punct(t: &Token, s: &str) -> bool {
+    t.kind == TokKind::Punct && t.text == s
+}
+
+/// Is this token the identifier/keyword `s`?
+pub fn is_ident(t: &Token, s: &str) -> bool {
+    t.kind == TokKind::Ident && t.text == s
+}
+
+/// Is this token an opening delimiter?
+pub fn is_open(t: &Token) -> bool {
+    is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{")
+}
+
+/// Is this token a closing delimiter?
+pub fn is_close(t: &Token) -> bool {
+    is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}")
+}
+
+/// Index of the delimiter closing the group opened at `open`, counting
+/// every delimiter kind; `None` on unbalanced input.
+pub fn matching(toks: &[Token], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if is_open(t) {
+            depth += 1;
+        } else if is_close(t) {
+            depth = depth.saturating_sub(1);
+            if depth == 0 {
+                return Some(k);
+            }
+        }
+    }
+    None
+}
+
+/// Whether `toks[i]` starts a statement: it follows `;`, `{` or `}`.
+pub fn starts_statement(toks: &[Token], i: usize) -> bool {
+    i > 0
+        && (is_punct(&toks[i - 1], ";")
+            || is_punct(&toks[i - 1], "{")
+            || is_punct(&toks[i - 1], "}"))
+}
+
+/// Index of the `;` ending the statement that starts at `i`, skipping
+/// nested delimiter groups; `end` when the statement runs to the limit.
+pub fn stmt_end(toks: &[Token], mut i: usize, end: usize) -> usize {
+    while i < end {
+        let t = &toks[i];
+        if is_punct(t, ";") {
+            return i;
+        }
+        if is_open(t) {
+            i = matching(toks, i).map_or(end, |c| c + 1);
+            continue;
+        }
+        i += 1;
+    }
+    end
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

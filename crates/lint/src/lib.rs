@@ -3,13 +3,14 @@
 //! The reproduction's credibility rests on bit-identical determinism and
 //! on the typed-error discipline of the library crates. Clippy cannot
 //! express those project rules, so this crate encodes them as a
-//! dependency-free analysis engine: a hand-rolled lexer ([`lexer`]) and
-//! recursive-descent parser ([`ast`]) walk every workspace source file;
-//! the lexical checks in [`lints`] anchor to exact token shapes, while
-//! the semantic checks in [`semantic`] run over a workspace symbol table
-//! and function call graph ([`symbols`]) — panic reachability through
-//! public APIs, stat-counter conservation, exhaustive dispatch over
-//! closed enums, and discarded `Result`s.
+//! dependency-free analysis engine: one table of lint rows ([`lints`])
+//! evaluated over one pipeline. Each file is lexed, test-masked, parsed
+//! and directive-scanned once; the file-local rows run over its tokens
+//! and AST; the workspace rows then run over a symbol table and call
+//! graph, per-function effects (panic, lock, block, allocation)
+//! propagated over the call graph's SCCs, and per-function dataflow
+//! facts. Findings are filtered once, through the table's scopes and the
+//! files' waivers.
 //!
 //! Run it over the workspace (CI does exactly this, and a nonzero exit
 //! gates the build):
@@ -20,25 +21,23 @@
 //!
 //! Individual findings are waived per site with a justified comment on
 //! the offending line or the line above; see [`lints`] for the syntax,
-//! [`lints::ALL_LINTS`] for the lint names, and `tcp-lint --waivers` for
-//! the live suppression-debt report.
+//! [`ALL_LINTS`] for the lint names, and `tcp-lint --waivers` for the
+//! live suppression-debt report.
 
 #![forbid(unsafe_code)]
 
-pub mod ast;
-pub mod cfg;
-pub mod dataflow;
-pub mod lexer;
+mod ast;
+mod cfg;
+mod dataflow;
+mod lexer;
 pub mod lints;
-pub mod semantic;
-pub mod summaries;
-pub mod symbols;
+mod semantic;
+mod summaries;
+mod symbols;
 
-pub use lints::{lint_about, lint_file, FileKind, FileSpec, Finding, ALL_LINTS};
+pub use lints::{lint_about, FileKind, FileSpec, Finding, ALL_LINTS};
 
-use lints::{
-    lint_file_tracked, scan_directives, suppressed_by, test_mask, Suppressions, BAD_SUPPRESSION,
-};
+use lints::{file_rows, lint_row, scan_directives, suppressed_by, test_mask, ParsedDirectives};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -71,7 +70,7 @@ pub struct Waiver {
 
 /// Result of a whole-workspace analysis.
 pub struct WorkspaceReport {
-    /// All findings (lexical + semantic), suppression-filtered and
+    /// All findings (every row), scope- and suppression-filtered and
     /// sorted by (path, line, col, lint).
     pub findings: Vec<Finding>,
     /// Every active waiver, sorted by (path, line).
@@ -101,10 +100,9 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// it needs crates.io to *compile*, not to lint), and every member the
 /// root `Cargo.toml` declares — so adding a crate to the workspace adds
 /// it to lint coverage in the same edit. Manifest `exclude` entries are
-/// honored (`crates/bench` needs crates.io); lint fixtures are
-/// deliberately-bad code and are skipped at collection time. A manifest
-/// with no parseable members (synthetic test workspaces) falls back to
-/// listing `crates/` directly.
+/// honored; lint fixtures are deliberately-bad code and are skipped at
+/// collection time. A manifest with no parseable members (synthetic test
+/// workspaces) falls back to listing `crates/` directly.
 pub fn workspace_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let manifest = fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
     let members = expand_member_globs(root, &toml_str_array(&manifest, "members"));
@@ -128,7 +126,7 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
         if crates.is_dir() {
             for entry in fs::read_dir(&crates)? {
                 let entry = entry?;
-                if entry.path().is_dir() && entry.file_name() != "bench" {
+                if entry.path().is_dir() {
                     crate_dirs.push(entry.path());
                 }
             }
@@ -265,8 +263,8 @@ pub fn spec_for_path(rel: &str) -> FileSpec<'_> {
 }
 
 /// Lints one on-disk file given the workspace root; `path` must live
-/// under `root`. Lexical passes only — the semantic passes need the
-/// whole workspace ([`analyze_files`] / [`analyze_workspace`]).
+/// under `root`. File-local rows only — the workspace rows need every
+/// file ([`analyze_files`] / [`analyze_workspace`]).
 pub fn lint_path(root: &Path, path: &Path) -> io::Result<Vec<Finding>> {
     let src = fs::read_to_string(path)?;
     let rel = rel_path(root, path);
@@ -281,26 +279,75 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Per-file artifacts shared by the lexical and semantic stages.
+/// Stage-1 artifacts of one file, shared by every later stage.
 struct Prepared {
     lx: lexer::Lexed,
     mask: Vec<bool>,
     ast: ast::Ast,
-    sups: Suppressions,
+    directives: ParsedDirectives,
 }
 
-fn prepare(f: &SourceFile) -> Prepared {
-    let spec = spec_for_path(&f.rel_path);
-    let lx = lexer::lex(&f.src);
-    let mask = test_mask(&lx.tokens, spec.kind);
+fn prepare(kind: FileKind, src: &str) -> Prepared {
+    let lx = lexer::lex(src);
+    let mask = test_mask(&lx.tokens, kind);
     let ast = ast::parse(&lx.tokens, &mask);
-    let sups = scan_directives(&lx).sups;
+    let directives = scan_directives(&lx);
     Prepared {
         lx,
         mask,
         ast,
-        sups,
+        directives,
     }
+}
+
+/// The file-local rows over one prepared file.
+fn local_rows(spec: &FileSpec<'_>, p: &Prepared) -> Vec<Finding> {
+    file_rows(spec, &p.lx.tokens, &p.mask, &p.ast, &p.directives.bad)
+}
+
+/// The single filter every finding passes: drops findings outside their
+/// row's scope or covered by a waiver of `sups` (recording the waiver's
+/// directive line into `used`), and fills in the snippet from `src`.
+fn keep(
+    f: &mut Finding,
+    spec: &FileSpec<'_>,
+    src: &str,
+    sups: &lints::Suppressions,
+    used: &mut BTreeSet<u32>,
+) -> bool {
+    if !lint_row(f.lint).is_some_and(|row| row.covers(spec.kind, spec.crate_dir)) {
+        return false;
+    }
+    if let Some(line) = suppressed_by(sups, &[f.lint], f.line) {
+        used.insert(line);
+        return false;
+    }
+    f.snippet = src
+        .lines()
+        .nth(f.line as usize - 1)
+        .map(|l| l.trim().to_owned())
+        .unwrap_or_default();
+    true
+}
+
+/// Sorts findings by (path, line, col, lint) and drops duplicates.
+fn sort_dedup(findings: &mut Vec<Finding>) {
+    findings
+        .sort_by(|a, b| (&a.path, a.line, a.col, a.lint).cmp(&(&b.path, b.line, b.col, b.lint)));
+    findings.dedup_by(|a, b| {
+        (a.path.as_str(), a.line, a.col, a.lint) == (b.path.as_str(), b.line, b.col, b.lint)
+    });
+}
+
+/// Lints one file with the file-local rows. Findings are sorted by
+/// position and already filtered through the lint table's scopes and the
+/// file's suppression comments.
+pub fn lint_file(spec: &FileSpec<'_>, src: &str) -> Vec<Finding> {
+    let p = prepare(spec.kind, src);
+    let mut findings = local_rows(spec, &p);
+    findings.retain_mut(|f| keep(f, spec, src, &p.directives.sups, &mut BTreeSet::new()));
+    sort_dedup(&mut findings);
+    findings
 }
 
 /// Lexed + parsed workspace sources with the analysis stages exposed
@@ -314,7 +361,10 @@ pub struct ParsedWorkspace {
 impl ParsedWorkspace {
     /// Stage 1: lex, test-mask, parse, and directive-scan every file.
     pub fn parse(files: Vec<SourceFile>) -> Self {
-        let prepared = files.iter().map(prepare).collect();
+        let prepared = files
+            .iter()
+            .map(|f| prepare(spec_for_path(&f.rel_path).kind, &f.src))
+            .collect();
         ParsedWorkspace { files, prepared }
     }
 
@@ -342,136 +392,71 @@ impl ParsedWorkspace {
             .collect()
     }
 
-    fn sem_inputs<'a>(
-        &'a self,
-        inputs: &[symbols::FileInput<'a>],
-    ) -> Vec<semantic::SemanticInput<'a>> {
-        inputs
-            .iter()
-            .zip(&self.files)
-            .zip(&self.prepared)
-            .map(|((fi, f), p)| semantic::SemanticInput {
-                file: *fi,
-                lines: f.src.lines().collect(),
-                sups: &p.sups,
-            })
-            .collect()
-    }
-
-    /// Stage 2: symbol table + the AST/call-graph lint passes.
-    pub fn semantic_core(&self) -> Vec<Finding> {
+    fn core(&self, used: &mut BTreeMap<String, BTreeSet<u32>>) -> Vec<Finding> {
         let inputs = self.inputs();
-        let ws = symbols::build(&inputs);
-        let sem = self.sem_inputs(&inputs);
-        semantic::run_core(&ws, &sem, &mut BTreeMap::new())
+        let sups: Vec<&lints::Suppressions> =
+            self.prepared.iter().map(|p| &p.directives.sups).collect();
+        semantic::run_core(&symbols::build(&inputs), &inputs, &sups, used)
     }
 
-    /// Stage 3: the dataflow + interprocedural summary passes.
+    /// Stage 2: symbol table + the call-graph rows.
+    pub fn semantic_core(&self) -> Vec<Finding> {
+        self.core(&mut BTreeMap::new())
+    }
+
+    /// Stage 3: the dataflow rows, over the effect summaries.
     pub fn dataflow(&self) -> Vec<Finding> {
         let inputs = self.inputs();
-        let ws = symbols::build(&inputs);
-        let sem = self.sem_inputs(&inputs);
-        semantic::run_dataflow(&ws, &sem)
+        semantic::run_dataflow(&symbols::build(&inputs), &inputs)
+    }
+
+    /// Every stage, then the one suppression filter. `used` collects the
+    /// directive lines (per file path) whose waiver suppressed something
+    /// — the complement is the stale-waiver set.
+    fn analyze(&self, used: &mut BTreeMap<String, BTreeSet<u32>>) -> Vec<Finding> {
+        let mut findings: Vec<Finding> = self
+            .files
+            .iter()
+            .zip(&self.prepared)
+            .flat_map(|(f, p)| local_rows(&spec_for_path(&f.rel_path), p))
+            .collect();
+        findings.extend(self.core(used));
+        findings.extend(self.dataflow());
+        let index: BTreeMap<&str, usize> = self
+            .files
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.rel_path.as_str(), i))
+            .collect();
+        findings.retain_mut(|f| {
+            let Some(&i) = index.get(f.path.as_str()) else {
+                return true;
+            };
+            let file = &self.files[i];
+            let used_here = used.entry(file.rel_path.clone()).or_default();
+            let sups = &self.prepared[i].directives.sups;
+            keep(
+                f,
+                &spec_for_path(&file.rel_path),
+                &file.src,
+                sups,
+                used_here,
+            )
+        });
+        sort_dedup(&mut findings);
+        findings
     }
 }
 
-/// Runs the full analysis — all lexical passes per file, then the
-/// semantic passes over the workspace graph — and returns
-/// suppression-filtered findings sorted by (path, line, col, lint).
+/// Runs the full analysis — the file-local rows per file, then the
+/// workspace rows over the call graph — and returns filtered findings
+/// sorted by (path, line, col, lint).
 pub fn analyze_files(files: &[SourceFile]) -> Vec<Finding> {
-    analyze_files_tracked(files, &mut BTreeMap::new())
+    ParsedWorkspace::parse(files.to_vec()).analyze(&mut BTreeMap::new())
 }
 
-/// [`analyze_files`], additionally recording into `used` the directive
-/// lines (per file path) whose waiver suppressed at least one finding —
-/// the complement is the stale-waiver set.
-pub fn analyze_files_tracked(
-    files: &[SourceFile],
-    used: &mut BTreeMap<String, BTreeSet<u32>>,
-) -> Vec<Finding> {
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(files.len());
-    for f in files {
-        let spec = spec_for_path(&f.rel_path);
-        let used_here = used.entry(f.rel_path.clone()).or_default();
-        findings.extend(lint_file_tracked(&spec, &f.src, used_here));
-        prepared.push(prepare(f));
-    }
-
-    let inputs: Vec<symbols::FileInput<'_>> = files
-        .iter()
-        .zip(&prepared)
-        .map(|(f, p)| {
-            let spec = spec_for_path(&f.rel_path);
-            symbols::FileInput {
-                path: &f.rel_path,
-                crate_dir: spec.crate_dir,
-                kind: spec.kind,
-                toks: &p.lx.tokens,
-                in_test: &p.mask,
-                ast: &p.ast,
-            }
-        })
-        .collect();
-    let ws = symbols::build(&inputs);
-    let sem_inputs: Vec<semantic::SemanticInput<'_>> = inputs
-        .iter()
-        .zip(files)
-        .zip(&prepared)
-        .map(|((fi, f), p)| semantic::SemanticInput {
-            file: *fi,
-            lines: f.src.lines().collect(),
-            sups: &p.sups,
-        })
-        .collect();
-    let semantic_findings = semantic::run(&ws, &sem_inputs, used);
-
-    let sups_by_path: BTreeMap<&str, &Suppressions> = files
-        .iter()
-        .zip(&prepared)
-        .map(|(f, p)| (f.rel_path.as_str(), &p.sups))
-        .collect();
-    findings.extend(semantic_findings.into_iter().filter(|f| {
-        let Some(sups) = sups_by_path.get(f.path.as_str()) else {
-            return true;
-        };
-        match suppressed_by(sups, f) {
-            Some(line) => {
-                used.entry(f.path.clone()).or_default().insert(line);
-                false
-            }
-            None => true,
-        }
-    }));
-    findings
-        .sort_by(|a, b| (&a.path, a.line, a.col, a.lint).cmp(&(&b.path, b.line, b.col, b.lint)));
-    findings.dedup_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.lint) == (b.path.as_str(), b.line, b.col, b.lint)
-    });
-    findings
-}
-
-/// Collects every active waiver across `files`, sorted by (path, line).
-pub fn collect_waivers(files: &[SourceFile]) -> Vec<Waiver> {
-    let mut out = Vec::new();
-    for f in files {
-        let lx = lexer::lex(&f.src);
-        for (line, lints, reason) in scan_directives(&lx).waivers {
-            out.push(Waiver {
-                path: f.rel_path.clone(),
-                line,
-                lints,
-                reason,
-                stale: false,
-            });
-        }
-    }
-    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    out
-}
-
-/// Reads every workspace source under `root` and runs [`analyze_files`]
-/// plus the waiver scan over it.
+/// Reads every workspace source under `root`, runs the analysis, and
+/// collects the waiver report.
 pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let paths = workspace_sources(root)?;
     let mut files = Vec::with_capacity(paths.len());
@@ -481,27 +466,36 @@ pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
             src: fs::read_to_string(p)?,
         });
     }
+    let ws = ParsedWorkspace::parse(files);
     let mut used: BTreeMap<String, BTreeSet<u32>> = BTreeMap::new();
-    let findings = analyze_files_tracked(&files, &mut used);
-    let mut waivers = collect_waivers(&files);
+    let findings = ws.analyze(&mut used);
     // A site that already trips `bad-suppression` must not also count
     // as a stale waiver — one broken directive line is one unit of
     // debt, not two (`check-lint.sh` weights stale waivers double).
     let bad_sites: BTreeSet<(&str, u32)> = findings
         .iter()
-        .filter(|f| f.lint == BAD_SUPPRESSION)
+        .filter(|f| f.lint == lints::BAD_SUPPRESSION.name)
         .map(|f| (f.path.as_str(), f.line))
         .collect();
-    for w in &mut waivers {
-        w.stale = !used
-            .get(&w.path)
-            .is_some_and(|lines| lines.contains(&w.line))
-            && !bad_sites.contains(&(w.path.as_str(), w.line));
+    let mut waivers = Vec::new();
+    for (f, p) in ws.files.iter().zip(&ws.prepared) {
+        for (line, lints, reason) in &p.directives.waivers {
+            let path = f.rel_path.as_str();
+            waivers.push(Waiver {
+                path: path.to_owned(),
+                line: *line,
+                lints: lints.clone(),
+                reason: reason.clone(),
+                stale: !used.get(path).is_some_and(|l| l.contains(line))
+                    && !bad_sites.contains(&(path, *line)),
+            });
+        }
     }
+    waivers.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(WorkspaceReport {
         findings,
         waivers,
-        files_scanned: files.len(),
+        files_scanned: ws.files.len(),
     })
 }
 
@@ -520,27 +514,26 @@ pub fn render_human(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as a JSON array (stable field order, sorted input).
+/// Renders findings as a JSON array of objects, one per finding, through
+/// `tcp-json`'s canonical writer (sorted keys, byte-stable output).
 pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"path\":{},\"line\":{},\"col\":{},\"lint\":{},\"message\":{},\"snippet\":{}}}",
-            json_str(&f.path),
-            f.line,
-            f.col,
-            json_str(f.lint),
-            json_str(&f.message),
-            json_str(&f.snippet)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
+    use tcp_json::Json;
+    let items = findings
+        .iter()
+        .map(|f| {
+            let fields = [
+                ("path", Json::Str(f.path.clone())),
+                ("line", Json::Num(f64::from(f.line))),
+                ("col", Json::Num(f64::from(f.col))),
+                ("lint", Json::Str(f.lint.to_owned())),
+                ("message", Json::Str(f.message.clone())),
+                ("snippet", Json::Str(f.snippet.clone())),
+            ];
+            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        })
+        .collect();
+    let mut out = tcp_json::to_string(&Json::Arr(items));
+    out.push('\n');
     out
 }
 
@@ -669,23 +662,5 @@ pub fn render_gh(findings: &[Finding]) -> String {
             esc_data(&f.message)
         ));
     }
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }

@@ -1,10 +1,16 @@
-//! The lint passes: project invariants of the TCP reproduction encoded
-//! as named checks over the token stream.
+//! The lint table, and the file-local rows: project invariants of the
+//! TCP reproduction that one file's tokens and AST decide.
 //!
-//! Every check is lexical — no type information — so each rule is
-//! written to under-approximate: it tracks names declared as hash
-//! containers in the same file rather than guessing at receivers, and it
-//! anchors panics/casts to exact token shapes. False negatives are
+//! Every lint is one row of [`LINTS`]: its name, a one-line description,
+//! the file kinds and crates it covers, and the remedy every finding's
+//! message ends with. Passes only say *what* they found and where; the
+//! pipeline drops findings outside the row's scope and appends its
+//! remedy, so scope and wording live in exactly one place.
+//!
+//! No rule has type information, so each is written to under-approximate:
+//! nondeterministic iteration tracks names declared as hash containers
+//! in the same file rather than guessing at receivers, and the other
+//! rows anchor to exact token shapes or parser facts. False negatives are
 //! possible; false positives should be rare, and every finding can be
 //! waived per site with a justified suppression comment:
 //!
@@ -16,131 +22,260 @@
 //! directly below it. A malformed suppression (unknown lint name or a
 //! missing reason) is itself reported, as `bad-suppression`.
 
-use crate::lexer::{lex, Lexed, TokKind, Token};
+use crate::ast::{visit_fns, Ast};
+use crate::dataflow::{seed_tags, TAG_ADDR, TAG_CYCLE, TAG_TAG};
+use crate::lexer::{is_ident, is_punct, matching, Lexed, TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 
-/// Lint: iteration over a hash-ordered container in simulator code.
-pub const NONDET_ITERATION: &str = "nondet-iteration";
-/// Lint: wall-clock time or ambient randomness outside the perf crate.
-pub const WALL_CLOCK_IN_SIM: &str = "wall-clock-in-sim";
-/// Lint: `unwrap`/`expect`/`panic!`-family in library code of crates
-/// that have typed errors.
-pub const PANIC_IN_LIBRARY: &str = "panic-in-library";
-/// Lint: truncating `as` cast applied to a cycle/addr/tag identifier.
-pub const LOSSY_CYCLE_CAST: &str = "lossy-cycle-cast";
-/// Lint: floating-point accumulation inside a per-cycle loop.
-pub const FLOAT_ACCUM_IN_HOT_LOOP: &str = "float-accum-in-hot-loop";
-/// Lint: crate root missing `#![forbid(unsafe_code)]`.
-pub const MISSING_FORBID_UNSAFE: &str = "missing-forbid-unsafe";
-/// Lint: malformed or unjustified suppression comment.
-pub const BAD_SUPPRESSION: &str = "bad-suppression";
-/// Lint (semantic): a public API of a typed-error crate transitively
-/// reaches an unwaived panic site through the workspace call graph.
-pub const PANIC_REACHABILITY: &str = "panic-reachability";
-/// Lint (semantic): a numeric `*Stats` field that is never mutated or
-/// never read — a silently dead or write-only counter.
-pub const STAT_CONSERVATION: &str = "stat-conservation";
-/// Lint (semantic): `match` over a closed workspace enum hides variants
-/// behind a `_` wildcard arm.
-pub const EXHAUSTIVE_DISPATCH: &str = "exhaustive-dispatch";
-/// Lint (semantic): a `Result` returned by a workspace function is
-/// dropped on the floor as a bare statement.
-pub const DISCARDED_RESULT: &str = "discarded-result";
-/// Lint (dataflow): a `Mutex` guard held across a call into a workspace
-/// function that itself locks (the deadlock shape), or a second lock of
-/// the same mutex while the first guard is live.
-pub const LOCK_DISCIPLINE: &str = "lock-discipline";
-/// Lint (dataflow): unchecked `+`/`*`/`<<` on a cycle/addr/tag/stat
-/// provenance-tagged value outside the `wrapping_*`/`checked_*` escape
-/// hatches.
-pub const OVERFLOW_PROVENANCE: &str = "overflow-provenance";
-/// Lint (dataflow): a composite SoA plane/chunk index expression with no
-/// dominating bound check or loop-header bound in the same function.
-pub const INDEX_BOUNDS: &str = "index-bounds";
-/// Lint (dataflow): a worker-index/thread-id-derived value flowing into
-/// a returned result or a stats field — a determinism hazard.
-pub const NONDET_TAINT: &str = "nondet-taint";
-/// Lint (interprocedural): an allocation — direct or through a
-/// summarized callee — inside a cycle-indexed or chunk-iteration loop
-/// of the hot crates, violating the `TraceChunk` reuse / `BoundedRing`
-/// preallocation contracts.
-pub const ALLOC_IN_HOT_LOOP: &str = "alloc-in-hot-loop";
-/// Lint (interprocedural): a `Result` from a workspace call discarded
-/// (`let _`, bare `.ok()`, empty `Err` arm) without the error reaching
-/// a return, stat, or quarantine path.
-pub const SWALLOWED_ERROR: &str = "swallowed-error";
-/// Lint (interprocedural): a struct field in the streaming modules
-/// pushed to inside a loop with no pop/clear/truncate/drain anywhere —
-/// unbounded memory growth in the bounded-ingestion path.
-pub const UNBOUNDED_GROWTH_IN_STREAM: &str = "unbounded-growth-in-stream";
-/// Lint (interprocedural): a `Mutex` guard held across a call whose
-/// summary says it blocks (`recv`/`wait`/`sleep`/blocking reads) — the
-/// lock-convoy / deadlock-by-waiting shape.
-pub const GUARD_ACROSS_BLOCKING_CALL: &str = "guard-across-blocking-call";
+/// Which workspace crates a lint row covers (`crates/<dir>` names; the
+/// root package is `""`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Crates {
+    /// Every crate.
+    All,
+    /// Only these crates.
+    Only(&'static [&'static str]),
+    /// Every crate except these.
+    Except(&'static [&'static str]),
+}
 
-/// Every lint tcp-lint knows, in stable order (lexical first, then the
-/// semantic passes that need the workspace AST, then the dataflow
-/// passes, then the v4 interprocedural passes).
-pub const ALL_LINTS: [&str; 19] = [
-    NONDET_ITERATION,
-    WALL_CLOCK_IN_SIM,
-    PANIC_IN_LIBRARY,
-    LOSSY_CYCLE_CAST,
-    FLOAT_ACCUM_IN_HOT_LOOP,
-    MISSING_FORBID_UNSAFE,
-    BAD_SUPPRESSION,
-    PANIC_REACHABILITY,
-    STAT_CONSERVATION,
-    EXHAUSTIVE_DISPATCH,
-    DISCARDED_RESULT,
-    LOCK_DISCIPLINE,
-    OVERFLOW_PROVENANCE,
-    INDEX_BOUNDS,
-    NONDET_TAINT,
-    ALLOC_IN_HOT_LOOP,
-    SWALLOWED_ERROR,
-    UNBOUNDED_GROWTH_IN_STREAM,
-    GUARD_ACROSS_BLOCKING_CALL,
-];
+/// One row of the lint table.
+#[derive(Debug)]
+pub(crate) struct Lint {
+    /// The name findings and waivers use.
+    pub(crate) name: &'static str,
+    /// One-line description, for `--list-lints` and SARIF rules.
+    pub(crate) about: &'static str,
+    /// File kinds the row reports in.
+    kinds: &'static [FileKind],
+    /// Crates the row reports in.
+    crates: Crates,
+    /// The remedy appended to every finding's message.
+    remedy: &'static str,
+}
 
-/// One-line description per lint, for `--list-lints` and the SARIF
-/// rules table. Kept adjacent to [`ALL_LINTS`] so adding a lint without
-/// describing it fails the `every_lint_has_an_about` test.
-pub fn lint_about(name: &str) -> &'static str {
-    match name {
-        "nondet-iteration" => "iteration over a hash-ordered container in simulator code",
-        "wall-clock-in-sim" => "wall-clock time or ambient randomness outside the perf crate",
-        "panic-in-library" => "panic/unwrap/expect in library code of a typed-error crate",
-        "lossy-cycle-cast" => "truncating cast of a cycle/addr/tag quantity",
-        "float-accum-in-hot-loop" => "floating-point accumulation inside a per-cycle loop",
-        "missing-forbid-unsafe" => "crate root missing #![forbid(unsafe_code)]",
-        "bad-suppression" => "malformed or unjustified tcp-lint suppression comment",
-        "panic-reachability" => "public API transitively reaches a panic through the call graph",
-        "stat-conservation" => "a *Stats counter that is never mutated or never read",
-        "exhaustive-dispatch" => "wildcard match arm hiding variants of a closed workspace enum",
-        "discarded-result" => "workspace Result dropped as a bare statement",
-        "lock-discipline" => "guard held across a locking call, or a same-mutex re-lock",
-        "overflow-provenance" => "unchecked arithmetic on cycle/addr/tag/stat-tagged values",
-        "index-bounds" => "composite index expression without a dominating bound check",
-        "nondet-taint" => "worker/thread identity flowing into results or stats",
-        "alloc-in-hot-loop" => "allocation (direct or via callees) inside a cycle/chunk hot loop",
-        "swallowed-error" => "workspace Result discarded without the error reaching any sink",
-        "unbounded-growth-in-stream" => "streaming struct field grown in a loop and never drained",
-        "guard-across-blocking-call" => "mutex guard held across a summarized blocking call",
-        _ => "",
+impl Lint {
+    /// Whether this row reports in a file of `kind` in crate `crate_dir`.
+    pub(crate) fn covers(&self, kind: FileKind, crate_dir: &str) -> bool {
+        self.kinds.contains(&kind)
+            && match self.crates {
+                Crates::All => true,
+                Crates::Only(list) => list.contains(&crate_dir),
+                Crates::Except(list) => !list.contains(&crate_dir),
+            }
+    }
+
+    /// A finding of this lint at `path:line:col`: `what` is wrong, and
+    /// the row's remedy says what to do. The snippet is filled in by the
+    /// pipeline, which holds the source.
+    pub(crate) fn at(
+        &'static self,
+        path: &str,
+        line: u32,
+        col: u32,
+        what: impl Display,
+    ) -> Finding {
+        Finding {
+            lint: self.name,
+            path: path.to_owned(),
+            line,
+            col,
+            message: format!("{what}; {}", self.remedy),
+            snippet: String::new(),
+        }
     }
 }
 
-/// Crates exempt from the panic-in-library rule: the perf harness is a
-/// measurement binary with no typed-error API of its own. Every other
-/// workspace crate's library code must return its error type. (Coverage
-/// is otherwise derived from the workspace manifest — see
-/// `crate::workspace_sources` — not from a hardcoded list.)
-const PANIC_EXEMPT_CRATES: [&str; 1] = ["perf"];
+/// Every build role: test files are masked token by token instead.
+const ANY: &[FileKind] = &[
+    FileKind::Lib,
+    FileKind::Bin,
+    FileKind::Test,
+    FileKind::Example,
+];
+/// Library and binary code: the dataflow rows' scope (examples are demo
+/// code outside the determinism/robustness contract).
+const CODE: &[FileKind] = &[FileKind::Lib, FileKind::Bin];
+/// Library code only.
+const LIB: &[FileKind] = &[FileKind::Lib];
+/// The perf harness: a measurement binary that times real executions,
+/// with no typed-error API of its own.
+const PERF: &[&str] = &["perf"];
 
-/// The one crate allowed to read the wall clock: the perf harness times
-/// real executions by design.
-const WALL_CLOCK_CRATE: &str = "perf";
+pub(crate) const NONDET_ITERATION: Lint = Lint {
+    name: "nondet-iteration",
+    about: "iteration over a hash-ordered container in simulator code",
+    kinds: ANY,
+    crates: Crates::All,
+    remedy: "use BTreeMap/BTreeSet, or collect and sort before iterating",
+};
+pub(crate) const WALL_CLOCK_IN_SIM: Lint = Lint {
+    name: "wall-clock-in-sim",
+    about: "wall-clock time or ambient randomness outside the perf crate",
+    kinds: ANY,
+    crates: Crates::Except(PERF),
+    remedy: "simulated time and seeded RNGs only (the perf harness in crates/perf is the sole \
+             exception)",
+};
+pub(crate) const PANIC_IN_LIBRARY: Lint = Lint {
+    name: "panic-in-library",
+    about: "panic/unwrap/expect in library code of a typed-error crate",
+    kinds: LIB,
+    crates: Crates::Except(PERF),
+    remedy: "return the crate's error type, or justify the invariant with a suppression",
+};
+pub(crate) const LOSSY_CYCLE_CAST: Lint = Lint {
+    name: "lossy-cycle-cast",
+    about: "truncating cast of a cycle/addr/tag quantity",
+    kinds: ANY,
+    crates: Crates::All,
+    remedy: "keep u64 end to end, use `TryFrom`, or mask explicitly before casting",
+};
+pub(crate) const FLOAT_ACCUM_IN_HOT_LOOP: Lint = Lint {
+    name: "float-accum-in-hot-loop",
+    about: "floating-point accumulation inside a per-cycle loop",
+    kinds: ANY,
+    crates: Crates::All,
+    remedy: "accumulate in integers and convert once at reporting time",
+};
+pub(crate) const MISSING_FORBID_UNSAFE: Lint = Lint {
+    name: "missing-forbid-unsafe",
+    about: "crate root missing #![forbid(unsafe_code)]",
+    kinds: ANY,
+    crates: Crates::All,
+    remedy: "every workspace library crate must forbid unsafe code",
+};
+pub(crate) const BAD_SUPPRESSION: Lint = Lint {
+    name: "bad-suppression",
+    about: "malformed or unjustified tcp-lint suppression comment",
+    kinds: ANY,
+    crates: Crates::All,
+    remedy: "write `// tcp-lint: allow(<lint-name>) — <reason>` with a known lint name",
+};
+pub(crate) const PANIC_REACHABILITY: Lint = Lint {
+    name: "panic-reachability",
+    about: "public API transitively reaches a panic through the call graph",
+    kinds: LIB,
+    crates: Crates::Only(&["cache", "cpu", "sim"]),
+    remedy: "return a typed error, or waive panic-reachability at the panic site with the \
+             invariant that makes it unreachable",
+};
+pub(crate) const STAT_CONSERVATION: Lint = Lint {
+    name: "stat-conservation",
+    about: "a *Stats counter that is never mutated or never read",
+    kinds: LIB,
+    crates: Crates::All,
+    remedy: "every `*Stats` field must flow from an increment to a report (or carry a waiver)",
+};
+pub(crate) const EXHAUSTIVE_DISPATCH: Lint = Lint {
+    name: "exhaustive-dispatch",
+    about: "wildcard match arm hiding variants of a closed workspace enum",
+    kinds: ANY,
+    crates: Crates::All,
+    remedy: "enumerate them so a new variant fails to compile instead of silently falling \
+             through",
+};
+pub(crate) const LOCK_DISCIPLINE: Lint = Lint {
+    name: "lock-discipline",
+    about: "guard held across a locking or blocking call, or a same-mutex re-lock",
+    kinds: CODE,
+    crates: Crates::All,
+    remedy: "drop or scope the guard first",
+};
+pub(crate) const OVERFLOW_PROVENANCE: Lint = Lint {
+    name: "overflow-provenance",
+    about: "unchecked arithmetic on cycle/addr/tag/stat-tagged values",
+    kinds: CODE,
+    crates: Crates::All,
+    remedy: "use `wrapping_*`/`checked_*` to state the intent, or waive with the bound that \
+             rules the overflow out",
+};
+pub(crate) const INDEX_BOUNDS: Lint = Lint {
+    name: "index-bounds",
+    about: "composite index expression without a dominating bound check",
+    kinds: CODE,
+    crates: Crates::All,
+    remedy: "assert the bound first, bind the index to a name and check it, or waive with the \
+             invariant that bounds it",
+};
+pub(crate) const NONDET_TAINT: Lint = Lint {
+    name: "nondet-taint",
+    about: "worker/thread identity flowing into results or stats",
+    kinds: CODE,
+    crates: Crates::All,
+    remedy: "results and reported statistics must not depend on which worker computed them — \
+             derive the value from the job, not the worker",
+};
+pub(crate) const ALLOC_IN_HOT_LOOP: Lint = Lint {
+    name: "alloc-in-hot-loop",
+    about: "allocation (direct or via callees) inside a cycle/chunk hot loop",
+    kinds: CODE,
+    crates: Crates::Only(&["cache", "cpu", "sim", "analysis"]),
+    remedy: "hot-path loops must reuse buffers (TraceChunk/BoundedRing contract); hoist the \
+             allocation out of the loop, pre-reserve, or restructure the callee",
+};
+pub(crate) const SWALLOWED_ERROR: Lint = Lint {
+    name: "swallowed-error",
+    about: "workspace Result discarded without the error reaching any sink",
+    kinds: CODE,
+    crates: Crates::All,
+    remedy: "the error never reaches a return, a stat, or the quarantine log; propagate it \
+             with `?`, record it, or waive with the reason the failure is benign",
+};
+pub(crate) const UNBOUNDED_GROWTH_IN_STREAM: Lint = Lint {
+    name: "unbounded-growth-in-stream",
+    about: "streaming struct field grown in a loop and never drained",
+    kinds: CODE,
+    crates: Crates::All,
+    remedy: "memory stays resident for the whole replay; bound it (BoundedRing) or add a \
+             drain path",
+};
+
+/// The lint table, in stable order: the file-local rows, then the
+/// workspace rows of the semantic stage, then those of the dataflow
+/// stage.
+pub(crate) const LINTS: [&Lint; 17] = [
+    &NONDET_ITERATION,
+    &WALL_CLOCK_IN_SIM,
+    &PANIC_IN_LIBRARY,
+    &LOSSY_CYCLE_CAST,
+    &FLOAT_ACCUM_IN_HOT_LOOP,
+    &MISSING_FORBID_UNSAFE,
+    &BAD_SUPPRESSION,
+    &PANIC_REACHABILITY,
+    &STAT_CONSERVATION,
+    &EXHAUSTIVE_DISPATCH,
+    &LOCK_DISCIPLINE,
+    &OVERFLOW_PROVENANCE,
+    &INDEX_BOUNDS,
+    &NONDET_TAINT,
+    &ALLOC_IN_HOT_LOOP,
+    &SWALLOWED_ERROR,
+    &UNBOUNDED_GROWTH_IN_STREAM,
+];
+
+/// Every lint name, in table order.
+pub const ALL_LINTS: [&str; LINTS.len()] = {
+    let mut names = [""; LINTS.len()];
+    let mut i = 0;
+    while i < LINTS.len() {
+        names[i] = LINTS[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// The table row named `name`.
+pub(crate) fn lint_row(name: &str) -> Option<&'static Lint> {
+    LINTS.iter().copied().find(|l| l.name == name)
+}
+
+/// One-line description of a lint, for `--list-lints` and the SARIF
+/// rules table; empty for an unknown name.
+pub fn lint_about(name: &str) -> &'static str {
+    lint_row(name).map_or("", |l| l.about)
+}
 
 /// Identifiers that mean wall-clock time or ambient randomness.
 const WALL_CLOCK_IDENTS: [&str; 6] = [
@@ -167,9 +302,6 @@ const ITER_METHODS: [&str; 9] = [
 
 /// Cast targets narrower than the u64 cycle/address domain.
 const NARROW_INTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Identifier fragments that mark cycle/address/tag quantities.
-const CYCLE_PATTERNS: [&str; 3] = ["cycle", "addr", "tag"];
 
 /// How a file participates in the build, which decides lint scope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,96 +346,86 @@ pub struct Finding {
     pub snippet: String,
 }
 
-/// Lints one file with the lexical passes. Findings are sorted by
-/// position and already filtered through any suppression comments in the
-/// file. The semantic passes need the whole workspace and live in
-/// [`crate::semantic`]; `crate::analyze_files` runs both.
-pub fn lint_file(spec: &FileSpec<'_>, src: &str) -> Vec<Finding> {
-    let mut used = BTreeSet::new();
-    lint_file_tracked(spec, src, &mut used)
-}
-
-/// [`lint_file`], additionally recording into `used` the directive line
-/// of every suppression that actually filtered a finding (the stale-
-/// waiver report subtracts these from the full waiver list).
-pub fn lint_file_tracked(spec: &FileSpec<'_>, src: &str, used: &mut BTreeSet<u32>) -> Vec<Finding> {
-    let lx = lex(src);
-    let toks = &lx.tokens;
-    let in_test = test_mask(toks, spec.kind);
-    let ast = crate::ast::parse(toks, &in_test);
-    let lines: Vec<&str> = src.lines().collect();
-    let mut findings: Vec<Finding> = Vec::new();
-
-    let parsed = scan_directives(&lx);
-    for (line, why) in &parsed.bad {
-        push(
-            &mut findings,
-            spec,
-            &lines,
-            BAD_SUPPRESSION,
-            *line,
-            1,
-            format!("unusable tcp-lint suppression: {why}"),
-        );
-    }
-
-    nondet_pass(toks, &in_test, spec, &lines, &mut findings);
-    if spec.crate_dir != WALL_CLOCK_CRATE {
-        wall_clock_pass(toks, &in_test, spec, &lines, &mut findings);
-    }
-    if !PANIC_EXEMPT_CRATES.contains(&spec.crate_dir) && spec.kind == FileKind::Lib {
-        panic_pass(toks, &in_test, spec, &lines, &mut findings);
-    }
-    lossy_cast_pass(toks, &in_test, spec, &lines, &mut findings);
-    float_accum_pass(&ast, toks, &in_test, spec, &lines, &mut findings);
-    if spec.crate_root {
-        forbid_unsafe_pass(toks, spec, &lines, &mut findings);
-    }
-
-    findings.retain(|f| match suppressed_by(&parsed.sups, f) {
-        Some(line) => {
-            used.insert(line);
-            false
-        }
-        None => true,
-    });
-    findings.sort_by(|a, b| (a.line, a.col, a.lint).cmp(&(b.line, b.col, b.lint)));
-    findings.dedup_by(|a, b| (a.line, a.col, a.lint) == (b.line, b.col, b.lint));
-    findings
-}
-
-pub(crate) fn snippet(lines: &[&str], line: u32) -> String {
-    lines
-        .get(line as usize - 1)
-        .map(|l| l.trim().to_owned())
-        .unwrap_or_default()
-}
-
-pub(crate) fn push(
-    findings: &mut Vec<Finding>,
+/// The file-local rows over one lexed, test-masked and parsed file,
+/// unfiltered: `bad` are the malformed directives of the file.
+pub(crate) fn file_rows(
     spec: &FileSpec<'_>,
-    lines: &[&str],
-    lint: &'static str,
-    line: u32,
-    col: u32,
-    message: String,
-) {
-    findings.push(Finding {
-        lint,
-        path: spec.path.to_owned(),
-        line,
-        col,
-        message,
-        snippet: snippet(lines, line),
-    });
-}
-
-pub(crate) fn is_ident(t: &Token, text: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == text
-}
-
-pub(crate) fn is_punct(t: &Token, text: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == text
+    toks: &[Token],
+    in_test: &[bool],
+    ast: &Ast,
+    bad: &[(u32, String)],
+) -> Vec<Finding> {
+    let mut out: Vec<Finding> = bad
+        .iter()
+        .map(|(line, why)| {
+            BAD_SUPPRESSION.at(
+                spec.path,
+                *line,
+                1,
+                format!("unusable tcp-lint suppression: {why}"),
+            )
+        })
+        .collect();
+    let code = |i: usize| !in_test[i];
+    let hashed = hash_container_names(toks);
+    for (i, t) in toks.iter().enumerate() {
+        if !code(i) || t.kind != TokKind::Ident {
+            continue;
+        }
+        if hashed.contains(&t.text) {
+            out.extend(nondet_iteration(spec.path, toks, i));
+        }
+        if WALL_CLOCK_IDENTS.contains(&t.text.as_str()) {
+            let what = format!(
+                "`{}` injects wall-clock time or ambient randomness into simulation code",
+                t.text
+            );
+            out.push(WALL_CLOCK_IN_SIM.at(spec.path, t.line, t.col, what));
+        }
+        if t.text == "as" {
+            out.extend(lossy_cast(spec.path, toks, i));
+        }
+    }
+    let floats = float_names(toks);
+    for fr in visit_fns(ast) {
+        let Some(body) = fr.f.body.as_ref() else {
+            continue;
+        };
+        for p in body.panics.iter().filter(|p| code(p.tok)) {
+            let t = &toks[p.tok];
+            let what = if p.what == "unwrap" || p.what == "expect" {
+                format!(
+                    "`.{}()` can panic in library code of a typed-error crate",
+                    p.what
+                )
+            } else {
+                format!("`{}!` aborts library code of a typed-error crate", p.what)
+            };
+            out.push(PANIC_IN_LIBRARY.at(spec.path, t.line, t.col, what));
+        }
+        for lp in body.loops.iter().filter(|lp| lp.is_hot()) {
+            for k in lp.body_open + 1..lp.body_close {
+                if code(k)
+                    && is_punct(&toks[k], "+=")
+                    && float_accum(toks, k, lp.body_close, &floats)
+                {
+                    let what = "floating-point accumulation inside a per-cycle loop loses \
+                                precision as the run grows";
+                    out.push(FLOAT_ACCUM_IN_HOT_LOOP.at(
+                        spec.path,
+                        toks[k].line,
+                        toks[k].col,
+                        what,
+                    ));
+                }
+            }
+        }
+    }
+    if spec.crate_root && !forbids_unsafe(toks) {
+        let what = "crate root is missing `#![forbid(unsafe_code)]`";
+        out.push(MISSING_FORBID_UNSAFE.at(spec.path, 1, 1, what));
+    }
+    out
 }
 
 /// Marks tokens inside `#[cfg(test)]` / `#[test]` items (and whole test
@@ -319,7 +441,7 @@ pub(crate) fn test_mask(toks: &[Token], kind: FileKind) -> Vec<bool> {
             i += 1;
             continue;
         }
-        let attr_end = match matching(toks, i + 1, "[", "]") {
+        let attr_end = match matching(toks, i + 1) {
             Some(e) => e,
             None => break,
         };
@@ -333,7 +455,7 @@ pub(crate) fn test_mask(toks: &[Token], kind: FileKind) -> Vec<bool> {
         // Skip any further attributes on the same item.
         let mut j = attr_end + 1;
         while j + 1 < toks.len() && is_punct(&toks[j], "#") && is_punct(&toks[j + 1], "[") {
-            match matching(toks, j + 1, "[", "]") {
+            match matching(toks, j + 1) {
                 Some(e) => j = e + 1,
                 None => break,
             }
@@ -346,7 +468,7 @@ pub(crate) fn test_mask(toks: &[Token], kind: FileKind) -> Vec<bool> {
                 break;
             }
             if is_punct(&toks[end], "{") {
-                end = matching(toks, end, "{", "}").unwrap_or(toks.len() - 1);
+                end = matching(toks, end).unwrap_or(toks.len() - 1);
                 break;
             }
             end += 1;
@@ -360,45 +482,25 @@ pub(crate) fn test_mask(toks: &[Token], kind: FileKind) -> Vec<bool> {
     mask
 }
 
-/// Index of the delimiter closing `toks[open]`, if any.
-pub(crate) fn matching(
-    toks: &[Token],
-    open: usize,
-    open_text: &str,
-    close_text: &str,
-) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if is_punct(t, open_text) {
-            depth += 1;
-        } else if is_punct(t, close_text) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
 /// Parsed suppressions: line → lint names waived on that line and the
 /// next.
 pub(crate) type Suppressions = BTreeMap<u32, Vec<String>>;
 
-/// Directive line whose suppression covers `f`, if any (a directive
-/// covers its own line and the line directly below it).
-pub(crate) fn suppressed_by(sups: &Suppressions, f: &Finding) -> Option<u32> {
-    let hit = |line: u32| {
-        sups.get(&line)
-            .is_some_and(|names| names.iter().any(|n| n == f.lint))
+/// Directive line of a suppression naming one of `lints` that covers
+/// `line`, if any (a directive covers its own line and the line directly
+/// below it).
+pub(crate) fn suppressed_by(sups: &Suppressions, lints: &[&str], line: u32) -> Option<u32> {
+    let hit = |l: u32| {
+        sups.get(&l)
+            .is_some_and(|names| names.iter().any(|n| lints.contains(&n.as_str())))
     };
-    if hit(f.line) {
-        return Some(f.line);
+    if hit(line) {
+        Some(line)
+    } else if line > 1 && hit(line - 1) {
+        Some(line - 1)
+    } else {
+        None
     }
-    if f.line > 1 && hit(f.line - 1) {
-        return Some(f.line - 1);
-    }
-    None
 }
 
 /// Everything the directive scan learns about one file.
@@ -484,9 +586,7 @@ fn classify_directive(text: &str) -> DirectiveParse {
     // character after the closing paren (conventionally "— why").
     let has_reason = tail.chars().filter(|c| c.is_alphanumeric()).count() >= 3;
     if !has_reason {
-        return DirectiveParse::Malformed(
-            "missing justification — write `// tcp-lint: allow(<name>) — <reason>`".to_owned(),
-        );
+        return DirectiveParse::Malformed("missing justification".to_owned());
     }
     let reason = tail
         .trim_start_matches(|c: char| c.is_whitespace() || matches!(c, '—' | '–' | '-' | ':'))
@@ -525,326 +625,98 @@ fn hash_container_names(toks: &[Token]) -> BTreeSet<String> {
     names
 }
 
-fn nondet_pass(
-    toks: &[Token],
-    in_test: &[bool],
-    spec: &FileSpec<'_>,
-    lines: &[&str],
-    findings: &mut Vec<Finding>,
-) {
-    let hashed = hash_container_names(toks);
-    if hashed.is_empty() {
-        return;
+/// A nondeterministic visit of the hash container named by `toks[i]`:
+/// `name.iter()`-style calls, or `for … in [&[mut]] [self.]name`.
+fn nondet_iteration(path: &str, toks: &[Token], i: usize) -> Option<Finding> {
+    let name = &toks[i].text;
+    if i + 3 < toks.len()
+        && is_punct(&toks[i + 1], ".")
+        && toks[i + 2].kind == TokKind::Ident
+        && ITER_METHODS.contains(&toks[i + 2].text.as_str())
+        && is_punct(&toks[i + 3], "(")
+    {
+        let m = &toks[i + 2];
+        let what = format!(
+            "`{name}.{}()` visits a hash-ordered container in nondeterministic order",
+            m.text
+        );
+        return Some(NONDET_ITERATION.at(path, m.line, m.col, what));
     }
-    for i in 0..toks.len() {
-        if in_test[i] || toks[i].kind != TokKind::Ident || !hashed.contains(&toks[i].text) {
-            continue;
-        }
-        let name = &toks[i].text;
-        // `name.iter()`, `name.keys()`, … — order-dependent visits.
-        if i + 3 < toks.len()
-            && is_punct(&toks[i + 1], ".")
-            && toks[i + 2].kind == TokKind::Ident
-            && ITER_METHODS.contains(&toks[i + 2].text.as_str())
-            && is_punct(&toks[i + 3], "(")
-        {
-            let m = &toks[i + 2];
-            push(
-                findings,
-                spec,
-                lines,
-                NONDET_ITERATION,
-                m.line,
-                m.col,
-                format!(
-                    "`{name}.{}()` visits a hash-ordered container in nondeterministic \
-                     order; use BTreeMap/BTreeSet or collect and sort before iterating",
-                    m.text
-                ),
-            );
-            continue;
-        }
-        // `for x in name` / `for x in &name` / `for x in &mut self.name`.
-        let mut j = i;
-        while j >= 2 && is_punct(&toks[j - 1], ".") && toks[j - 2].kind == TokKind::Ident {
-            j -= 2;
-        }
-        while j >= 1 && (is_punct(&toks[j - 1], "&") || is_ident(&toks[j - 1], "mut")) {
-            j -= 1;
-        }
-        if j >= 1 && is_ident(&toks[j - 1], "in") {
-            let t = &toks[i];
-            push(
-                findings,
-                spec,
-                lines,
-                NONDET_ITERATION,
-                t.line,
-                t.col,
-                format!(
-                    "`for … in {name}` iterates a hash-ordered container in \
-                     nondeterministic order; use BTreeMap/BTreeSet or sort first"
-                ),
-            );
-        }
+    let mut j = i;
+    while j >= 2 && is_punct(&toks[j - 1], ".") && toks[j - 2].kind == TokKind::Ident {
+        j -= 2;
     }
+    while j >= 1 && (is_punct(&toks[j - 1], "&") || is_ident(&toks[j - 1], "mut")) {
+        j -= 1;
+    }
+    (j >= 1 && is_ident(&toks[j - 1], "in")).then(|| {
+        let what = format!(
+            "`for … in {name}` iterates a hash-ordered container in nondeterministic order"
+        );
+        NONDET_ITERATION.at(path, toks[i].line, toks[i].col, what)
+    })
 }
 
-fn wall_clock_pass(
-    toks: &[Token],
-    in_test: &[bool],
-    spec: &FileSpec<'_>,
-    lines: &[&str],
-    findings: &mut Vec<Finding>,
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if WALL_CLOCK_IDENTS.contains(&t.text.as_str()) {
-            push(
-                findings,
-                spec,
-                lines,
-                WALL_CLOCK_IN_SIM,
-                t.line,
-                t.col,
-                format!(
-                    "`{}` injects wall-clock time or ambient randomness into \
-                     simulation code; simulated time and seeded RNGs only (the \
-                     perf harness in crates/perf is the sole exception)",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-fn panic_pass(
-    toks: &[Token],
-    in_test: &[bool],
-    spec: &FileSpec<'_>,
-    lines: &[&str],
-    findings: &mut Vec<Finding>,
-) {
-    for i in 0..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        // `.unwrap(` / `.expect(`
-        if is_punct(&toks[i], ".")
-            && i + 2 < toks.len()
-            && toks[i + 1].kind == TokKind::Ident
-            && matches!(toks[i + 1].text.as_str(), "unwrap" | "expect")
-            && is_punct(&toks[i + 2], "(")
-        {
-            let t = &toks[i + 1];
-            push(
-                findings,
-                spec,
-                lines,
-                PANIC_IN_LIBRARY,
-                t.line,
-                t.col,
-                format!(
-                    "`.{}()` can panic in library code of a typed-error crate; \
-                     return the crate's error type, or justify the invariant \
-                     with a suppression",
-                    t.text
-                ),
-            );
-        }
-        // `panic!` / `unreachable!` / `todo!` / `unimplemented!`
-        if toks[i].kind == TokKind::Ident
-            && matches!(
-                toks[i].text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            )
-            && i + 1 < toks.len()
-            && is_punct(&toks[i + 1], "!")
-        {
-            let t = &toks[i];
-            push(
-                findings,
-                spec,
-                lines,
-                PANIC_IN_LIBRARY,
-                t.line,
-                t.col,
-                format!(
-                    "`{}!` aborts library code of a typed-error crate; return \
-                     the crate's error type, or justify the invariant with a \
-                     suppression",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-fn lossy_cast_pass(
-    toks: &[Token],
-    in_test: &[bool],
-    spec: &FileSpec<'_>,
-    lines: &[&str],
-    findings: &mut Vec<Finding>,
-) {
-    for i in 1..toks.len() {
-        if in_test[i] || !is_ident(&toks[i], "as") {
-            continue;
-        }
-        let Some(target) = toks.get(i + 1) else {
-            continue;
-        };
-        if !(target.kind == TokKind::Ident && NARROW_INTS.contains(&target.text.as_str())) {
-            continue;
-        }
-        let operand = &toks[i - 1];
-        if operand.kind != TokKind::Ident {
-            continue;
-        }
-        let lower = operand.text.to_lowercase();
-        if CYCLE_PATTERNS.iter().any(|p| lower.contains(p)) {
-            push(
-                findings,
-                spec,
-                lines,
-                LOSSY_CYCLE_CAST,
-                operand.line,
-                operand.col,
-                format!(
-                    "`{} as {}` truncates a cycle/address/tag quantity; keep \
-                     u64 end to end, use `{}::try_from`, or mask explicitly \
-                     before casting",
-                    operand.text, target.text, target.text
-                ),
-            );
-        }
-    }
+/// `operand as <narrow int>` at the `as` token `toks[i]`, where the
+/// operand is named as a cycle/address/tag quantity (exact snake_case
+/// components, so `stage` and `percentage` are not tags).
+fn lossy_cast(path: &str, toks: &[Token], i: usize) -> Option<Finding> {
+    let operand = &toks[i.checked_sub(1)?];
+    let target = toks.get(i + 1)?;
+    let narrow = target.kind == TokKind::Ident && NARROW_INTS.contains(&target.text.as_str());
+    let quantity = operand.kind == TokKind::Ident
+        && seed_tags(&operand.text) & (TAG_CYCLE | TAG_ADDR | TAG_TAG) != 0;
+    (narrow && quantity).then(|| {
+        let what = format!(
+            "`{} as {}` truncates a cycle/address/tag quantity",
+            operand.text, target.text
+        );
+        LOSSY_CYCLE_CAST.at(path, operand.line, operand.col, what)
+    })
 }
 
 /// Names in this file declared as floats (`name: f64`, `name = 0.0`).
 fn float_names(toks: &[Token]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
-    for i in 0..toks.len() {
+    for i in 2..toks.len() {
         let is_float_ty = is_ident(&toks[i], "f64") || is_ident(&toks[i], "f32");
-        if is_float_ty
-            && i >= 2
-            && is_punct(&toks[i - 1], ":")
-            && toks[i - 2].kind == TokKind::Ident
-        {
-            names.insert(toks[i - 2].text.clone());
+        let binder = &toks[i - 2];
+        if binder.kind != TokKind::Ident {
+            continue;
         }
-        if toks[i].kind == TokKind::Float
-            && i >= 2
-            && is_punct(&toks[i - 1], "=")
-            && toks[i - 2].kind == TokKind::Ident
-            && !matches!(toks[i - 2].text.as_str(), "f64" | "f32")
+        if (is_float_ty && is_punct(&toks[i - 1], ":"))
+            || (toks[i].kind == TokKind::Float
+                && is_punct(&toks[i - 1], "=")
+                && !matches!(binder.text.as_str(), "f64" | "f32"))
         {
-            names.insert(toks[i - 2].text.clone());
+            names.insert(binder.text.clone());
         }
     }
     names
 }
 
-/// AST-driven since the v2 parser landed: only loops inside real
-/// function bodies are scanned (the lexical version also walked
-/// `macro_rules!` bodies and other non-code token runs, a
-/// false-positive source), and nested loops come straight from the
-/// parser's loop list instead of a re-scan heuristic.
-fn float_accum_pass(
-    ast: &crate::ast::Ast,
-    toks: &[Token],
-    in_test: &[bool],
-    spec: &FileSpec<'_>,
-    lines: &[&str],
-    findings: &mut Vec<Finding>,
-) {
-    let floats = float_names(toks);
-    for fr in crate::ast::visit_fns(ast) {
-        let Some(body) = fr.f.body.as_ref() else {
-            continue;
-        };
-        for lp in &body.loops {
-            let Some(open) = lp.body_open else { continue };
-            let header_has_cycle = lp
-                .header_idents
-                .iter()
-                .any(|id| id.to_lowercase().contains("cycle"));
-            if !header_has_cycle {
-                continue;
-            }
-            let close = matching(toks, open, "{", "}").unwrap_or(toks.len() - 1);
-            for k in open + 1..close {
-                if in_test[k] || !is_punct(&toks[k], "+=") {
-                    continue;
-                }
-                let lhs_is_float =
-                    toks[k - 1].kind == TokKind::Ident && floats.contains(&toks[k - 1].text);
-                let mut rhs_is_float = false;
-                let mut r = k + 1;
-                while r < close && !is_punct(&toks[r], ";") {
-                    if toks[r].kind == TokKind::Float
-                        || is_ident(&toks[r], "f64")
-                        || is_ident(&toks[r], "f32")
-                    {
-                        rhs_is_float = true;
-                        break;
-                    }
-                    r += 1;
-                }
-                if lhs_is_float || rhs_is_float {
-                    let t = &toks[k];
-                    push(
-                        findings,
-                        spec,
-                        lines,
-                        FLOAT_ACCUM_IN_HOT_LOOP,
-                        t.line,
-                        t.col,
-                        "floating-point accumulation inside a per-cycle loop loses \
-                         precision as the run grows; accumulate in integers and \
-                         convert once at reporting time"
-                            .to_owned(),
-                    );
-                }
-            }
-        }
-    }
+/// Whether the `+=` at `k` accumulates a float: a float-declared left
+/// side, or a float literal/type anywhere in the right side.
+fn float_accum(toks: &[Token], k: usize, close: usize, floats: &BTreeSet<String>) -> bool {
+    let lhs = &toks[k - 1];
+    (lhs.kind == TokKind::Ident && floats.contains(&lhs.text))
+        || toks[k + 1..close]
+            .iter()
+            .take_while(|t| !is_punct(t, ";"))
+            .any(|t| t.kind == TokKind::Float || is_ident(t, "f64") || is_ident(t, "f32"))
 }
 
-fn forbid_unsafe_pass(
-    toks: &[Token],
-    spec: &FileSpec<'_>,
-    lines: &[&str],
-    findings: &mut Vec<Finding>,
-) {
-    for i in 0..toks.len() {
-        if !is_ident(&toks[i], "forbid") {
-            continue;
-        }
-        if i + 1 < toks.len() && is_punct(&toks[i + 1], "(") {
-            if let Some(close) = matching(toks, i + 1, "(", ")") {
-                if toks[i + 2..close]
+/// Whether the file carries `forbid(… unsafe_code …)`.
+fn forbids_unsafe(toks: &[Token]) -> bool {
+    (0..toks.len()).any(|i| {
+        is_ident(&toks[i], "forbid")
+            && toks.get(i + 1).is_some_and(|t| is_punct(t, "("))
+            && matching(toks, i + 1).is_some_and(|close| {
+                toks[i + 2..close]
                     .iter()
                     .any(|t| is_ident(t, "unsafe_code"))
-                {
-                    return;
-                }
-            }
-        }
-    }
-    push(
-        findings,
-        spec,
-        lines,
-        MISSING_FORBID_UNSAFE,
-        1,
-        1,
-        "crate root is missing `#![forbid(unsafe_code)]`; every workspace \
-         library crate must forbid unsafe code"
-            .to_owned(),
-    );
+            })
+    })
 }
 
 #[cfg(test)]
@@ -853,7 +725,7 @@ mod tests {
 
     #[test]
     fn every_lint_has_an_about_line() {
-        assert_eq!(ALL_LINTS.len(), 19, "the v4 lint set");
+        assert_eq!(ALL_LINTS.len(), 17, "the lint table");
         for l in ALL_LINTS {
             assert!(
                 !lint_about(l).is_empty(),

@@ -1,80 +1,43 @@
-//! The semantic lint passes: workspace-level invariants that need the
-//! AST, symbol table, and call graph rather than a single file's token
-//! stream.
+//! The workspace rows: lints that need the symbol table and call graph
+//! ([`crate::symbols`]), the per-function effects
+//! ([`crate::summaries`]) and the dataflow facts ([`crate::dataflow`]).
 //!
-//! Four passes live here:
+//! Most rows check one *effect* inside one *region*, each computed once:
 //!
-//! - **panic-reachability** — no public API of a typed-error crate
-//!   (tcp-cache / tcp-cpu / tcp-sim) may *transitively* reach an
-//!   unwaived `panic!`/`unwrap`/`expect` through the in-workspace call
-//!   graph. The lexical `panic-in-library` pass catches direct sites;
-//!   this one follows calls across crates.
-//! - **stat-conservation** — every numeric field of a `*Stats` struct
-//!   must be both mutated somewhere and read/reported somewhere. The
-//!   paper's coverage/accuracy numbers are ratios of such counters; a
-//!   write-only or dead counter is a silent accounting bug.
-//! - **exhaustive-dispatch** — `match` over a closed workspace enum
-//!   (`PrefetcherSpec`, `SimError`, `Replacement`, …) must not hide
-//!   variants behind `_`, so adding a prefetcher cannot silently fall
-//!   through an existing dispatch site.
-//! - **discarded-result** — a `Result` returned by a workspace function
-//!   must not be dropped as a bare statement.
+//! | row                        | effect                              | region                |
+//! |----------------------------|-------------------------------------|-----------------------|
+//! | panic-reachability         | panic, through callees              | public-API root       |
+//! | lock-discipline            | lock or block, through callees; a same-mutex `.lock()` | live guard range |
+//! | alloc-in-hot-loop          | allocation, direct or through callees | hot loop            |
+//! | unbounded-growth-in-stream | push into a never-drained field     | stream-file loop      |
+//! | nondet-taint               | worker identity                     | return/stat sink      |
 //!
-//! The dataflow passes (v3) also live here, consuming the per-function
-//! abstract environments computed by [`crate::dataflow`] — now
-//! flow-sensitive through [`crate::cfg`] and interprocedural through
-//! [`crate::summaries`] (v4):
+//! The rest are direct shapes: stat-conservation (write-only or dead
+//! `*Stats` counters), exhaustive-dispatch (`_` arms over closed
+//! workspace enums), overflow-provenance and index-bounds (dataflow
+//! facts), and swallowed-error (a workspace `Result` bound to `_`,
+//! dropped as a bare statement, `.ok()`d away, or matched by an empty
+//! `Err` arm).
 //!
-//! - **lock-discipline** — a `let`-bound `Mutex` guard live across a
-//!   call into a workspace function whose summary says it locks is the
-//!   deadlock shape; a second `.lock()` of the same receiver inside a
-//!   live guard range is a self-deadlock on that path.
-//! - **overflow-provenance** — unchecked `+`/`*`/`<<` on values whose
-//!   provenance tags say cycle/addr/tag/stat counter, with tags flowing
-//!   through workspace calls via the return-tag summaries.
-//! - **index-bounds** — composite index expressions with no bound
-//!   evidence in a *dominating* basic block.
-//! - **nondet-taint** — worker/thread-identity values reaching returns
-//!   or stats fields, through calls.
-//! - **alloc-in-hot-loop** — allocation (direct or via a summarized
-//!   callee) inside a cycle-/chunk-iteration loop of the hot crates.
-//! - **swallowed-error** — a workspace `Result` discarded without the
-//!   error reaching any sink.
-//! - **unbounded-growth-in-stream** — streaming struct fields grown in
-//!   loops and never drained.
-//! - **guard-across-blocking-call** — a guard live across a call whose
-//!   summary blocks.
-//!
-//! Findings are produced unsuppressed; the caller filters them through
-//! each file's waivers exactly like the lexical passes. `run` also
-//! reports which waiver directive lines did real work here (panic-site
-//! waivers that stopped reachability propagation), so the stale-waiver
-//! report can tell live suppressions from rotten ones.
+//! Two stages, timed separately by `tcp-perf`: [`run_core`] (symbol
+//! table and call-graph rows) and [`run_dataflow`] (the dataflow rows).
+//! Findings are produced unsuppressed and unscoped; the pipeline filters
+//! them through the lint table and each file's waivers. `run_core` also
+//! reports which waiver lines did work inside a pass (panic-site waivers
+//! that stop reachability propagation), so the stale-waiver report can
+//! tell live suppressions from rotten ones.
 
-use crate::ast::{ArmHead, CallSite};
+use crate::ast::ArmHead;
 use crate::dataflow::{self, FnFlow};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{is_ident, is_open, is_punct, matching, starts_statement, TokKind, Token};
 use crate::lints::{
-    is_ident, is_punct, matching, push, FileKind, FileSpec, Finding, Suppressions,
-    ALLOC_IN_HOT_LOOP, DISCARDED_RESULT, EXHAUSTIVE_DISPATCH, GUARD_ACROSS_BLOCKING_CALL,
+    suppressed_by, FileKind, Finding, Suppressions, ALLOC_IN_HOT_LOOP, EXHAUSTIVE_DISPATCH,
     INDEX_BOUNDS, LOCK_DISCIPLINE, NONDET_TAINT, OVERFLOW_PROVENANCE, PANIC_IN_LIBRARY,
     PANIC_REACHABILITY, STAT_CONSERVATION, SWALLOWED_ERROR, UNBOUNDED_GROWTH_IN_STREAM,
 };
-use crate::summaries::{self, FnSummary};
-use crate::symbols::{FileInput, Workspace};
+use crate::summaries::{self, alloc_shape, Reach, Summaries};
+use crate::symbols::{CallEdge, FileInput, FnNode, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Crates whose cycle/chunk loops are allocation-free by contract.
-const HOT_CRATES: [&str; 4] = ["cache", "cpu", "sim", "analysis"];
-
-/// Any identifier token (the two-argument [`is_ident`] matches exact
-/// text; the allocation scans only care about token kind).
-fn any_ident(t: &Token) -> bool {
-    t.kind == TokKind::Ident
-}
-
-/// Crates whose public APIs must be transitively panic-free.
-const REACHABILITY_ROOTS: [&str; 3] = ["cache", "cpu", "sim"];
 
 /// Integer/float types a stats counter may carry.
 const NUMERIC_TYPES: [&str; 14] = [
@@ -87,197 +50,145 @@ const ASSIGN_OPS: [&str; 11] = [
     "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
 ];
 
-/// Per-file context the passes need alongside the workspace graph.
-pub struct SemanticInput<'a> {
-    /// The analyzed file (tokens, mask, AST, spec fields).
-    pub file: FileInput<'a>,
-    /// Source split into lines, for snippets.
-    pub lines: Vec<&'a str>,
-    /// Active waivers of this file (for panic-site non-propagation).
-    pub sups: &'a Suppressions,
-}
-
-/// Runs all semantic passes; findings are unsuppressed and unsorted.
-/// Waiver directive lines that did suppression work inside the passes
-/// themselves (panic-site waivers stopping reachability propagation)
-/// are recorded per file path into `used`.
-pub fn run(
-    ws: &Workspace<'_>,
-    inputs: &[SemanticInput<'_>],
-    used: &mut BTreeMap<String, BTreeSet<u32>>,
-) -> Vec<Finding> {
-    let mut findings = run_core(ws, inputs, used);
-    findings.extend(run_dataflow(ws, inputs));
-    findings
-}
-
-/// The AST/call-graph passes alone (no dataflow) — the `lint_semantic`
-/// perf phase.
+/// The symbol-table and call-graph rows. `sups` are the files' waivers
+/// (parallel to `files`); the directive lines of waivers that stopped
+/// panic propagation are recorded per file path into `used`.
 pub fn run_core(
     ws: &Workspace<'_>,
-    inputs: &[SemanticInput<'_>],
+    files: &[FileInput<'_>],
+    sups: &[&Suppressions],
     used: &mut BTreeMap<String, BTreeSet<u32>>,
 ) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    panic_reachability(ws, inputs, used, &mut findings);
-    stat_conservation(ws, inputs, &mut findings);
-    exhaustive_dispatch(ws, inputs, &mut findings);
-    discarded_result(ws, inputs, &mut findings);
-    findings
+    let mut out = Vec::new();
+    panic_reachability(ws, files, sups, used, &mut out);
+    stat_conservation(ws, files, &mut out);
+    exhaustive_dispatch(ws, files, &mut out);
+    out
 }
 
-/// The dataflow + interprocedural passes alone — the `lint_dataflow`
-/// perf phase.
-pub fn run_dataflow(ws: &Workspace<'_>, inputs: &[SemanticInput<'_>]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    dataflow_passes(ws, inputs, &mut findings);
-    findings
-}
-
-fn spec_of<'a>(input: &'a SemanticInput<'_>) -> FileSpec<'a> {
-    FileSpec {
-        path: input.file.path,
-        crate_dir: input.file.crate_dir,
-        kind: input.file.kind,
-        crate_root: input.file.path.ends_with("src/lib.rs"),
-    }
-}
-
-/// The directive line of a waiver stopping propagation at a panic site
-/// on `line`: `allow(panic-reachability)` or `allow(panic-in-library)`
-/// on the same line or the line above.
-fn panic_site_waiver_line(sups: &Suppressions, line: u32) -> Option<u32> {
-    let hit = |l: u32| {
-        sups.get(&l).is_some_and(|names| {
-            names
-                .iter()
-                .any(|n| n == PANIC_REACHABILITY || n == PANIC_IN_LIBRARY)
-        })
+/// The dataflow rows, over per-function [`FnFlow`]s and the effect
+/// [`Summaries`]. Tests are masked, and example programs are demo code
+/// outside the determinism/robustness contract, so only library and
+/// binary functions get a flow.
+pub fn run_dataflow(ws: &Workspace<'_>, files: &[FileInput<'_>]) -> Vec<Finding> {
+    let flows_with = |seed: &dyn Fn(usize) -> BTreeMap<usize, dataflow::Tags>, full: bool| {
+        (0..ws.fns.len())
+            .map(|i| {
+                let node = &ws.fns[i];
+                let file = &files[node.file];
+                if node.in_test || !matches!(file.kind, FileKind::Lib | FileKind::Bin) {
+                    return None;
+                }
+                dataflow::analyze_with(file.toks, file.in_test, node.def, &seed(i), full)
+            })
+            .collect::<Vec<Option<FnFlow>>>()
     };
-    if hit(line) {
-        Some(line)
-    } else if line > 1 && hit(line - 1) {
-        Some(line - 1)
-    } else {
-        None
+    // Phase A: the cheap environment-only pass the return-tag summaries
+    // need; then phase B, the full flow-sensitive pass seeded with the
+    // callees' return tags so provenance crosses function boundaries.
+    let sums = summaries::summarize(ws, files, &flows_with(&|_| BTreeMap::new(), false));
+    let flows = flows_with(
+        &|i| summaries::call_return_tags(ws, &sums.returns_tags, i),
+        true,
+    );
+
+    let mut out = Vec::new();
+    for (i, node) in ws.fns.iter().enumerate() {
+        let Some(flow) = &flows[i] else { continue };
+        let file = &files[node.file];
+        lock_discipline(ws, &sums, node, file, flow, &mut out);
+        for (row, found) in [
+            (&OVERFLOW_PROVENANCE, &flow.overflow),
+            (&INDEX_BOUNDS, &flow.index),
+            (&NONDET_TAINT, &flow.taint),
+        ] {
+            out.extend(
+                found
+                    .iter()
+                    .map(|v| row.at(file.path, v.line, v.col, &v.what)),
+            );
+        }
+        alloc_in_hot_loop(ws, &sums, node, file, &mut out);
+        swallowed_error(ws, node, file, &mut out);
     }
+    unbounded_growth_in_stream(ws, files, &flows, &mut out);
+    out
 }
 
+/// **panic-reachability** — no public API of a typed-error crate may
+/// reach an unwaived panic through the in-workspace call graph. The
+/// panic effect is each function's first unwaived direct panic site,
+/// lifted bottom-up over the call graph's SCCs.
 fn panic_reachability(
     ws: &Workspace<'_>,
-    inputs: &[SemanticInput<'_>],
+    files: &[FileInput<'_>],
+    sups: &[&Suppressions],
     used: &mut BTreeMap<String, BTreeSet<u32>>,
-    findings: &mut Vec<Finding>,
+    out: &mut Vec<Finding>,
 ) {
-    // First unwaived direct panic per function; every waiver that
-    // shields a site is marked used along the way.
-    let mut direct: Vec<Option<(String, u32)>> = Vec::with_capacity(ws.fns.len());
-    for node in &ws.fns {
-        if node.in_test {
-            direct.push(None);
-            continue;
-        }
-        let input = &inputs[node.file];
-        let mut site = None;
-        for p in node.def.body.iter().flat_map(|b| b.panics.iter()) {
-            match panic_site_waiver_line(input.sups, p.line) {
+    let waivers = [PANIC_REACHABILITY.name, PANIC_IN_LIBRARY.name];
+    let mut direct = Vec::with_capacity(ws.fns.len());
+    for (i, node) in ws.fns.iter().enumerate() {
+        let file = &files[node.file];
+        let mut first = None;
+        let sites = node.def.body.iter().filter(|_| !node.in_test);
+        for p in sites.flat_map(|b| &b.panics) {
+            let line = file.toks[p.tok].line;
+            // A waived site does not propagate; its waiver did real work.
+            match suppressed_by(sups[node.file], &waivers, line) {
                 Some(dl) => {
-                    used.entry(input.file.path.to_owned())
-                        .or_default()
-                        .insert(dl);
+                    used.entry(file.path.to_owned()).or_default().insert(dl);
                 }
                 None => {
-                    if site.is_none() {
-                        site = Some(p);
-                    }
+                    first.get_or_insert_with(|| Reach {
+                        what: p.what.clone(),
+                        sink: i,
+                        line,
+                        via: Vec::new(),
+                    });
                 }
             }
         }
-        direct.push(site.map(|p| (p.what.clone(), p.line)));
+        direct.push(first);
     }
+    let reach = summaries::propagate(ws, &summaries::tarjan(ws), direct);
 
     for (root, node) in ws.fns.iter().enumerate() {
-        let input = &inputs[node.file];
-        let rootable = node.def.is_pub
-            && !node.in_test
-            && input.file.kind == FileKind::Lib
-            && REACHABILITY_ROOTS.contains(&input.file.crate_dir);
-        if !rootable {
+        let file = &files[node.file];
+        if !node.def.is_pub || node.in_test || !PANIC_REACHABILITY.covers(file.kind, file.crate_dir)
+        {
             continue;
         }
-        // BFS over the call graph; the root's own panic sites are the
-        // lexical pass's concern, so only deeper nodes report here.
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: Vec<usize> = vec![root];
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        seen.insert(root);
-        let mut hit: Option<usize> = None;
-        let mut qi = 0;
-        while qi < queue.len() && hit.is_none() {
-            let cur = queue[qi];
-            qi += 1;
-            for edge in &ws.fns[cur].calls {
-                for &t in &edge.targets {
-                    if !seen.insert(t) {
-                        continue;
-                    }
-                    parent.insert(t, cur);
-                    if direct[t].is_some() {
-                        hit = Some(t);
-                        break;
-                    }
-                    queue.push(t);
-                }
-                if hit.is_some() {
-                    break;
-                }
-            }
-        }
-        let Some(sink) = hit else { continue };
-        let Some((what, line)) = direct[sink].clone() else {
-            continue;
-        };
-        // Reconstruct root → … → sink for the message.
-        let mut chain = vec![sink];
-        let mut cur = sink;
-        while let Some(&p) = parent.get(&cur) {
-            chain.push(p);
-            cur = p;
-        }
-        chain.reverse();
-        let names: Vec<String> = chain.iter().map(|&id| ws.fns[id].display_name()).collect();
-        let sink_file = &inputs[ws.fns[sink].file].file;
-        push(
-            findings,
-            &spec_of(input),
-            &input.lines,
-            PANIC_REACHABILITY,
-            node.def.line,
-            node.def.col,
-            format!(
-                "public `{}` can transitively reach `{}` at {}:{} (call chain: {}); \
-                 return a typed error, or waive panic-reachability at the panic \
-                 site with the invariant that makes it unreachable",
-                node.def.name,
-                what,
-                sink_file.path,
-                line,
-                names.join(" → "),
-            ),
+        // The root's own panic sites are panic-in-library's concern, so
+        // only a callee's reach reports here.
+        let hit = node.calls.iter().flat_map(|c| &c.targets).find_map(|&t| {
+            let r = reach[t].as_ref().filter(|r| r.sink != root)?;
+            Some((t, r))
+        });
+        let Some((t, r)) = hit else { continue };
+        let chain: Vec<String> = [node.display_name(), ws.fns[t].display_name()]
+            .into_iter()
+            .chain(r.via.iter().cloned())
+            .collect();
+        let what = format!(
+            "public `{}` can transitively reach `{}` at {}:{} (call chain: {})",
+            node.def.name,
+            r.what,
+            files[ws.fns[r.sink].file].path,
+            r.line,
+            chain.join(" → "),
         );
+        out.push(PANIC_REACHABILITY.at(file.path, node.def.line, node.def.col, what));
     }
 }
 
-fn stat_conservation(
-    ws: &Workspace<'_>,
-    inputs: &[SemanticInput<'_>],
-    findings: &mut Vec<Finding>,
-) {
+/// **stat-conservation** — every numeric field of a `*Stats` struct
+/// must be both mutated somewhere and read/reported somewhere.
+fn stat_conservation(ws: &Workspace<'_>, files: &[FileInput<'_>], out: &mut Vec<Finding>) {
     for &(fi, s) in &ws.structs {
-        if !s.name.ends_with("Stats") {
-            continue;
-        }
-        if inputs[fi].file.kind != FileKind::Lib {
+        if !s.name.ends_with("Stats")
+            || !STAT_CONSERVATION.covers(files[fi].kind, files[fi].crate_dir)
+        {
             continue;
         }
         let fields: Vec<&crate::ast::FieldDef> = s
@@ -291,42 +202,27 @@ fn stat_conservation(
         let names: BTreeSet<&str> = fields.iter().map(|f| f.name.as_str()).collect();
         let mut written: BTreeSet<String> = BTreeSet::new();
         let mut read: BTreeSet<String> = BTreeSet::new();
-        for input in inputs {
+        for file in files {
             field_accesses(
-                input.file.toks,
-                input.file.in_test,
+                file.toks,
+                file.in_test,
                 &s.name,
                 &names,
                 &mut written,
                 &mut read,
             );
         }
-        let input = &inputs[fi];
         for f in fields {
             let missing_write = !written.contains(&f.name);
             let missing_read = !read.contains(&f.name);
-            if !(missing_write || missing_read) {
-                continue;
-            }
             let problem = match (missing_write, missing_read) {
                 (true, true) => "is never mutated and never read",
                 (true, false) => "is never mutated — it can only ever report zero",
                 (false, true) => "is written but never read or reported",
                 (false, false) => continue,
             };
-            push(
-                findings,
-                &spec_of(input),
-                &input.lines,
-                STAT_CONSERVATION,
-                f.line,
-                f.col,
-                format!(
-                    "stat counter `{}.{}` {problem}; every `*Stats` field must \
-                     flow from an increment to a report (or carry a waiver)",
-                    s.name, f.name,
-                ),
-            );
+            let what = format!("stat counter `{}.{}` {problem}", s.name, f.name);
+            out.push(STAT_CONSERVATION.at(files[fi].path, f.line, f.col, what));
         }
     }
 }
@@ -367,21 +263,14 @@ fn field_accesses(
             && toks.get(i + 1).is_some_and(|t| is_punct(t, "{"))
             && !(i > 0 && (is_ident(&toks[i - 1], "struct") || is_ident(&toks[i - 1], "enum")))
         {
-            let Some(close) = matching(toks, i + 1, "{", "}") else {
+            let Some(close) = matching(toks, i + 1) else {
                 continue;
             };
             let mut k = i + 2;
             while k < close {
                 let t = &toks[k];
-                if is_punct(t, "{") || is_punct(t, "(") || is_punct(t, "[") {
-                    let (open_text, close_text) = if is_punct(t, "{") {
-                        ("{", "}")
-                    } else if is_punct(t, "(") {
-                        ("(", ")")
-                    } else {
-                        ("[", "]")
-                    };
-                    k = matching(toks, k, open_text, close_text).map_or(close, |c| c + 1);
+                if is_open(t) {
+                    k = matching(toks, k).map_or(close, |c| c + 1);
                     continue;
                 }
                 if fields.contains(t.text.as_str())
@@ -398,36 +287,28 @@ fn field_accesses(
     }
 }
 
-fn exhaustive_dispatch(
-    ws: &Workspace<'_>,
-    inputs: &[SemanticInput<'_>],
-    findings: &mut Vec<Finding>,
-) {
-    for node in &ws.fns {
-        if node.in_test {
-            continue;
-        }
-        let input = &inputs[node.file];
+/// **exhaustive-dispatch** — a `match` over a closed workspace enum
+/// must not hide variants behind a `_` arm.
+fn exhaustive_dispatch(ws: &Workspace<'_>, files: &[FileInput<'_>], out: &mut Vec<Finding>) {
+    for node in ws.fns.iter().filter(|n| !n.in_test) {
+        let file = &files[node.file];
         for m in node.def.body.iter().flat_map(|b| b.matches.iter()) {
             // Identify the matched enum from a qualified variant arm.
             let mut enum_name: Option<&str> = None;
             let mut covered: BTreeSet<&str> = BTreeSet::new();
             for arm in &m.arms {
-                if let ArmHead::Path(segs) = &arm.head {
-                    if segs.len() < 2 {
-                        continue;
-                    }
-                    let cand = segs[segs.len() - 2].as_str();
-                    if !ws.closed_enums.contains_key(cand) {
-                        continue;
-                    }
-                    match enum_name {
-                        None => enum_name = Some(cand),
-                        Some(existing) if existing != cand => continue,
-                        Some(_) => {}
-                    }
-                    covered.insert(segs[segs.len() - 1].as_str());
+                let ArmHead::Path(segs) = &arm.head else {
+                    continue;
+                };
+                if segs.len() < 2 {
+                    continue;
                 }
+                let cand = segs[segs.len() - 2].as_str();
+                if !ws.closed_enums.contains_key(cand) || enum_name.is_some_and(|e| e != cand) {
+                    continue;
+                }
+                enum_name = Some(cand);
+                covered.insert(segs[segs.len() - 1].as_str());
             }
             let Some(name) = enum_name else { continue };
             let Some(wild) = m
@@ -437,11 +318,10 @@ fn exhaustive_dispatch(
             else {
                 continue;
             };
-            let Some(closed) = ws.closed_enums.get(name) else {
+            let Some(variants) = ws.closed_enums.get(name) else {
                 continue;
             };
-            let missing: Vec<&str> = closed
-                .variants
+            let missing: Vec<&str> = variants
                 .iter()
                 .map(String::as_str)
                 .filter(|v| !covered.contains(*v))
@@ -451,240 +331,75 @@ fn exhaustive_dispatch(
             } else {
                 missing.join(", ")
             };
-            push(
-                findings,
-                &spec_of(input),
-                &input.lines,
-                EXHAUSTIVE_DISPATCH,
-                wild.line,
-                wild.col,
-                format!(
-                    "`_` arm on closed enum `{name}` hides variants ({hidden}); \
-                     enumerate them so a new variant fails to compile instead of \
-                     silently falling through",
-                ),
-            );
+            let t = &file.toks[wild.pat];
+            let what = format!("`_` arm on closed enum `{name}` hides variants ({hidden})");
+            out.push(EXHAUSTIVE_DISPATCH.at(file.path, t.line, t.col, what));
         }
     }
 }
 
-fn discarded_result(ws: &Workspace<'_>, inputs: &[SemanticInput<'_>], findings: &mut Vec<Finding>) {
-    for node in &ws.fns {
-        if node.in_test {
-            continue;
-        }
-        let input = &inputs[node.file];
-        for edge in &node.calls {
-            if !edge.bare_statement || edge.targets.is_empty() {
-                continue;
-            }
-            let all_result = edge.targets.iter().all(|&t| ws.fns[t].def.returns_result);
-            if !all_result {
-                continue;
-            }
-            let site: &CallSite = edge.site;
-            push(
-                findings,
-                &spec_of(input),
-                &input.lines,
-                DISCARDED_RESULT,
-                site.line,
-                site.col,
-                format!(
-                    "`{}` returns a Result that this statement discards; \
-                     propagate it with `?`, handle the error, or waive with the \
-                     reason the failure is impossible here",
-                    edge.name,
-                ),
+/// **lock-discipline** — inside each live guard range, a call into a
+/// function whose summary locks (the deadlock shape) or blocks (the
+/// lock-convoy shape), or a second `.lock()` of the guarded mutex (a
+/// self-deadlock on that path).
+fn lock_discipline(
+    ws: &Workspace<'_>,
+    sums: &Summaries,
+    node: &FnNode<'_>,
+    file: &FileInput<'_>,
+    flow: &FnFlow,
+    out: &mut Vec<Finding>,
+) {
+    for g in &flow.guards {
+        let live = |tok: usize| g.start < tok && tok < g.end;
+        let held = format!(
+            "guard `{}` (locking `{}`, bound at line {})",
+            g.name, g.mutex, g.line
+        );
+        for edge in node.calls.iter().filter(|e| live(e.site.paren_open)) {
+            let hit = edge.targets.iter().find_map(|&t| {
+                let lock = sums.lock[t]
+                    .as_ref()
+                    .map(|r| (r, "the deadlock shape".to_owned()));
+                let block = || {
+                    let stall = format!(
+                        "every other thread touching `{}` stalls for the wait",
+                        g.mutex
+                    );
+                    sums.block[t].as_ref().map(|r| (r, stall))
+                };
+                Some((t, lock.or_else(block)?))
+            });
+            let Some((t, (r, shape))) = hit else { continue };
+            let what = format!(
+                "{held} is still live across this call to `{}`, which {} — {shape}",
+                ws.fns[t].display_name(),
+                reaches(r),
             );
+            out.push(LOCK_DISCIPLINE.at(file.path, edge.site.line, edge.site.col, what));
+        }
+        for l in flow
+            .locks
+            .iter()
+            .filter(|l| live(l.paren_open) && l.recv == g.mutex)
+        {
+            let what = format!(
+                "`{}` is locked again while {held} still holds it — self-deadlock on this path",
+                l.recv
+            );
+            out.push(LOCK_DISCIPLINE.at(file.path, l.line, l.col, what));
         }
     }
 }
 
-/// Is this function eligible for dataflow analysis? Tests are masked,
-/// and example programs are demo code outside the lint's
-/// determinism/robustness contract.
-fn analyzable(ws: &Workspace<'_>, inputs: &[SemanticInput<'_>], i: usize) -> bool {
-    let node = &ws.fns[i];
-    let input = &inputs[node.file];
-    !node.in_test && matches!(input.file.kind, FileKind::Lib | FileKind::Bin)
-}
-
-/// The v3/v4 dataflow lints, driven by per-function [`FnFlow`]s and the
-/// interprocedural [`FnSummary`] table.
-fn dataflow_passes(ws: &Workspace<'_>, inputs: &[SemanticInput<'_>], findings: &mut Vec<Finding>) {
-    // Phase A: a cheap environment-only pass per function, enough for
-    // the summary computation (locks, guards, assignment tags).
-    let flows0: Vec<Option<FnFlow>> = (0..ws.fns.len())
-        .map(|i| {
-            if !analyzable(ws, inputs, i) {
-                return None;
-            }
-            let node = &ws.fns[i];
-            let input = &inputs[node.file];
-            dataflow::analyze_with(
-                input.file.toks,
-                input.file.in_test,
-                node.def,
-                &BTreeMap::new(),
-                false,
-            )
-        })
-        .collect();
-
-    // Bottom-up interprocedural summaries over call-graph SCCs.
-    let files: Vec<FileInput<'_>> = inputs.iter().map(|i| i.file).collect();
-    let sums = summaries::summarize(ws, &files, &flows0);
-
-    // Phase B: the full flow-sensitive pass, seeding call-return tags
-    // from the summaries so provenance crosses function boundaries.
-    let flows: Vec<Option<FnFlow>> = (0..ws.fns.len())
-        .map(|i| {
-            if !analyzable(ws, inputs, i) {
-                return None;
-            }
-            let node = &ws.fns[i];
-            let input = &inputs[node.file];
-            let call_tags = summaries::call_return_tags(ws, &sums, i);
-            dataflow::analyze_with(
-                input.file.toks,
-                input.file.in_test,
-                node.def,
-                &call_tags,
-                true,
-            )
-        })
-        .collect();
-
-    for (i, node) in ws.fns.iter().enumerate() {
-        let Some(flow) = &flows[i] else { continue };
-        let input = &inputs[node.file];
-        let spec = spec_of(input);
-
-        for g in &flow.guards {
-            for edge in &node.calls {
-                let s = edge.site;
-                if s.paren_open <= g.start || s.paren_open >= g.end {
-                    continue;
-                }
-                // Deadlock shape: guard live across a call into a
-                // workspace function whose summary says it locks.
-                if let Some(&t) = edge.targets.iter().find(|&&t| sums[t].locks) {
-                    let how = if sums[t].direct_lock {
-                        "itself acquires a lock"
-                    } else {
-                        "acquires a lock further down its call graph"
-                    };
-                    push(
-                        findings,
-                        &spec,
-                        &input.lines,
-                        LOCK_DISCIPLINE,
-                        s.line,
-                        s.col,
-                        format!(
-                            "guard `{}` (locking `{}`, bound at line {}) is still live \
-                             across this call to `{}`, which {how} — the deadlock shape; \
-                             drop or scope the guard before the call",
-                            g.name,
-                            g.mutex,
-                            g.line,
-                            ws.fns[t].display_name(),
-                        ),
-                    );
-                }
-                // Latency shape: guard held across a call whose summary
-                // says it blocks (channel recv, condvar wait, sleep, …).
-                if let Some(&t) = edge.targets.iter().find(|&&t| sums[t].blocks) {
-                    let what = sums[t]
-                        .block_what
-                        .clone()
-                        .unwrap_or_else(|| "a blocking call".to_string());
-                    let how = if sums[t].direct_block {
-                        format!("blocks on `{what}`")
-                    } else {
-                        format!("reaches `{what}` further down its call graph")
-                    };
-                    push(
-                        findings,
-                        &spec,
-                        &input.lines,
-                        GUARD_ACROSS_BLOCKING_CALL,
-                        s.line,
-                        s.col,
-                        format!(
-                            "guard `{}` (locking `{}`, bound at line {}) is held across \
-                             this call to `{}`, which {how} — every other thread \
-                             touching `{}` stalls for the full wait; drop the guard \
-                             before blocking",
-                            g.name,
-                            g.mutex,
-                            g.line,
-                            ws.fns[t].display_name(),
-                            g.mutex,
-                        ),
-                    );
-                }
-            }
-            // Double lock of one receiver on a single path.
-            for l in &flow.locks {
-                if l.paren_open > g.start && l.paren_open < g.end && l.recv == g.mutex {
-                    push(
-                        findings,
-                        &spec,
-                        &input.lines,
-                        LOCK_DISCIPLINE,
-                        l.line,
-                        l.col,
-                        format!(
-                            "`{}` is locked again while guard `{}` from line {} still \
-                             holds it — self-deadlock on this path; drop the guard \
-                             before re-locking",
-                            l.recv, g.name, g.line,
-                        ),
-                    );
-                }
-            }
-        }
-
-        for v in &flow.overflow {
-            push(
-                findings,
-                &spec,
-                &input.lines,
-                OVERFLOW_PROVENANCE,
-                v.line,
-                v.col,
-                v.what.clone(),
-            );
-        }
-        for v in &flow.index {
-            push(
-                findings,
-                &spec,
-                &input.lines,
-                INDEX_BOUNDS,
-                v.line,
-                v.col,
-                v.what.clone(),
-            );
-        }
-        for v in &flow.taint {
-            push(
-                findings,
-                &spec,
-                &input.lines,
-                NONDET_TAINT,
-                v.line,
-                v.col,
-                v.what.clone(),
-            );
-        }
+/// How a callee reaches an effect, for messages: directly, or through
+/// the chain of calls below it.
+fn reaches(r: &Reach) -> String {
+    if r.via.is_empty() {
+        format!("calls `{}` itself", r.what)
+    } else {
+        format!("reaches `{}` through `{}`", r.what, r.via.join("` → `"))
     }
-
-    alloc_in_hot_loop(ws, inputs, &flows, &sums, findings);
-    swallowed_error(ws, inputs, findings);
-    unbounded_growth_in_stream(ws, inputs, &flows, findings);
 }
 
 /// Idents in `toks[..]` that have *capacity evidence* somewhere in the
@@ -697,14 +412,14 @@ fn dataflow_passes(ws: &Workspace<'_>, inputs: &[SemanticInput<'_>], findings: &
 fn capacity_evidenced(toks: &[Token]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for i in 0..toks.len() {
-        if !any_ident(&toks[i]) {
+        if toks[i].kind != TokKind::Ident {
             continue;
         }
         // `x . reserve (`
         if toks[i].text == "reserve"
             && i >= 2
             && is_punct(&toks[i - 1], ".")
-            && any_ident(&toks[i - 2])
+            && toks[i - 2].kind == TokKind::Ident
         {
             out.insert(toks[i - 2].text.clone());
             continue;
@@ -713,9 +428,9 @@ fn capacity_evidenced(toks: &[Token]) -> BTreeSet<String> {
         if toks[i].text == "with_capacity"
             && i >= 4
             && is_punct(&toks[i - 1], "::")
-            && any_ident(&toks[i - 2])
+            && toks[i - 2].kind == TokKind::Ident
             && (is_punct(&toks[i - 3], ":") || is_punct(&toks[i - 3], "="))
-            && any_ident(&toks[i - 4])
+            && toks[i - 4].kind == TokKind::Ident
         {
             out.insert(toks[i - 4].text.clone());
         }
@@ -723,428 +438,229 @@ fn capacity_evidenced(toks: &[Token]) -> BTreeSet<String> {
     out
 }
 
-/// Does any ident in the loop header name a cycle- or chunk-indexed
-/// iteration? Exact snake_case components only, so `recycled` does not
-/// make a loop hot.
-fn is_hot_header(header_idents: &[String]) -> bool {
-    header_idents.iter().any(|id| {
-        id.split('_')
-            .any(|c| matches!(c, "cycle" | "cycles" | "chunk" | "chunks"))
+/// **alloc-in-hot-loop** — inside each hot loop of the hot crates, an
+/// allocating shape, a `.clone()` or an unreserved `push`/`extend` (these
+/// two only at the loop site), or a call whose summary reaches an
+/// allocation — however many calls deep.
+fn alloc_in_hot_loop(
+    ws: &Workspace<'_>,
+    sums: &Summaries,
+    node: &FnNode<'_>,
+    file: &FileInput<'_>,
+    out: &mut Vec<Finding>,
+) {
+    let Some(body) = &node.def.body else { return };
+    if !ALLOC_IN_HOT_LOOP.covers(file.kind, file.crate_dir)
+        || !body.loops.iter().any(|l| l.is_hot())
+    {
+        return;
+    }
+    let toks = file.toks;
+    let reserved = capacity_evidenced(toks);
+    // `(`-positions of calls that resolve to workspace functions with no
+    // allocation in their summary — a `.push(..)` landing on, say,
+    // `BoundedRing::push` is a fixed-capacity write, not a `Vec` growth,
+    // and the callee check below covers any resolved callee that does
+    // allocate.
+    let nonalloc_calls: BTreeSet<usize> = node
+        .calls
+        .iter()
+        .filter(|e| !e.targets.is_empty() && e.targets.iter().all(|&t| sums.alloc[t].is_none()))
+        .map(|e| e.site.paren_open)
+        .collect();
+    for lp in body.loops.iter().filter(|l| l.is_hot()) {
+        let kw = &toks[lp.keyword];
+        let region = format!(
+            "inside this {}-loop over `{}` (line {})",
+            kw.text,
+            lp.header_idents.join(" "),
+            kw.line
+        );
+        for t in lp.body_open + 1..lp.body_close {
+            if file.in_test[t] {
+                continue;
+            }
+            let what = alloc_shape(toks, t)
+                .map(|shape| format!("`{shape}` allocates"))
+                .or_else(|| loop_site_alloc(toks, t, &reserved, &nonalloc_calls));
+            if let Some(what) = what {
+                let what = format!("{what} {region}");
+                out.push(ALLOC_IN_HOT_LOOP.at(file.path, toks[t].line, toks[t].col, what));
+            }
+        }
+        for edge in &node.calls {
+            let s = edge.site;
+            if s.paren_open <= lp.body_open || s.paren_open >= lp.body_close {
+                continue;
+            }
+            let Some((t, r)) = edge
+                .targets
+                .iter()
+                .find_map(|&t| Some((t, sums.alloc[t].as_ref()?)))
+            else {
+                continue;
+            };
+            let chain: Vec<String> = std::iter::once(ws.fns[t].display_name())
+                .chain(r.via.iter().cloned())
+                .map(|c| format!("`{c}`"))
+                .collect();
+            let what = format!(
+                "this call allocates via {} — `{}` at line {} of its defining file — {region}",
+                chain.join(" → "),
+                r.what,
+                r.line,
+            );
+            out.push(ALLOC_IN_HOT_LOOP.at(file.path, s.line, s.col, what));
+        }
+    }
+}
+
+/// The loop-site-only allocation shapes at `toks[t]`: `.clone()`, and a
+/// `push`/`extend` into a vector with no capacity evidence whose call
+/// does not resolve to a non-allocating workspace method.
+fn loop_site_alloc(
+    toks: &[Token],
+    t: usize,
+    reserved: &BTreeSet<String>,
+    nonalloc_calls: &BTreeSet<usize>,
+) -> Option<String> {
+    let method = toks[t].text.as_str();
+    let called =
+        t >= 2 && is_punct(&toks[t - 1], ".") && toks.get(t + 1).is_some_and(|n| is_punct(n, "("));
+    if !called || toks[t].kind != TokKind::Ident {
+        return None;
+    }
+    if method == "clone" {
+        return Some("`.clone()` copies into a fresh allocation".to_owned());
+    }
+    let recv = &toks[t - 2];
+    (matches!(method, "push" | "extend")
+        && recv.kind == TokKind::Ident
+        && !reserved.contains(&recv.text)
+        && !nonalloc_calls.contains(&(t + 1)))
+    .then(|| {
+        format!(
+            "`{0}.{method}(..)` may reallocate — no `with_capacity`/`reserve` evidence for `{0}` \
+             in this file",
+            recv.text
+        )
     })
 }
 
-/// **alloc-in-hot-loop** — allocation inside a cycle-indexed or
-/// chunk-iteration loop in the hot crates (`tcp-cache`, `tcp-cpu`,
-/// `tcp-sim`, `tcp-analysis`). Catches direct constructor/`.clone()`
-/// shapes, growth of vectors with no capacity evidence, and calls whose
-/// interprocedural summary says an allocation is reached — however many
-/// calls deep.
-fn alloc_in_hot_loop(
+/// **swallowed-error** — a `Result` from a workspace function discarded
+/// without the error reaching any sink: `let _ = f();`, a bare `f();`
+/// statement, a bare `f().ok();`, or a `match` on the call with an empty
+/// `Err` arm.
+fn swallowed_error(
     ws: &Workspace<'_>,
-    inputs: &[SemanticInput<'_>],
-    flows: &[Option<FnFlow>],
-    sums: &[FnSummary],
-    findings: &mut Vec<Finding>,
+    node: &FnNode<'_>,
+    file: &FileInput<'_>,
+    out: &mut Vec<Finding>,
 ) {
-    for (i, node) in ws.fns.iter().enumerate() {
-        let Some(flow) = &flows[i] else { continue };
-        let Some(cfg) = &flow.cfg else { continue };
-        let input = &inputs[node.file];
-        let crate_name = input
-            .file
-            .crate_dir
-            .rsplit('/')
-            .next()
-            .unwrap_or(input.file.crate_dir);
-        if !HOT_CRATES.contains(&crate_name) {
+    let toks = file.toks;
+    let returns_result = |e: &CallEdge<'_>| {
+        !e.targets.is_empty() && e.targets.iter().all(|&t| ws.fns[t].def.returns_result)
+    };
+    for edge in node.calls.iter().filter(|e| returns_result(e)) {
+        let s = edge.site;
+        if file.in_test[s.paren_open] {
             continue;
         }
-        let spec = spec_of(input);
-        let toks = input.file.toks;
-        let reserved = capacity_evidenced(toks);
-        // `(`-positions of calls that resolve to workspace functions
-        // with *no* allocation in their summary — a `.push(..)` landing
-        // on, say, `BoundedRing::push` is a fixed-capacity write, not a
-        // `Vec` growth, and the callee-summary pass below covers any
-        // resolved callee that does allocate.
-        let nonalloc_calls: BTreeSet<usize> = node
+        let after = |k: usize, p: &str| toks.get(s.paren_close + k).is_some_and(|t| is_punct(t, p));
+        let stmt = starts_statement(toks, s.expr_start);
+        let how = if s.expr_start >= 3
+            && is_ident(&toks[s.expr_start - 3], "let")
+            && toks[s.expr_start - 2].text == "_"
+            && is_punct(&toks[s.expr_start - 1], "=")
+            && after(1, ";")
+        {
+            "is bound to `_`"
+        } else if stmt && after(1, ";") {
+            "is dropped as a bare statement"
+        } else if stmt
+            && after(1, ".")
+            && toks
+                .get(s.paren_close + 2)
+                .is_some_and(|t| is_ident(t, "ok"))
+            && after(3, "(")
+            && after(4, ")")
+            && after(5, ";")
+        {
+            "is `.ok()`d away as a statement"
+        } else {
+            continue;
+        };
+        let what = format!("the Result of `{}` {how}", edge.name);
+        out.push(SWALLOWED_ERROR.at(file.path, s.line, s.col, what));
+    }
+    for m in node.def.body.iter().flat_map(|b| &b.matches) {
+        let scrutinee_has_result = node
             .calls
             .iter()
-            .filter(|e| !e.targets.is_empty() && e.targets.iter().all(|&t| sums[t].alloc.is_none()))
-            .map(|e| e.site.paren_open)
-            .collect();
-
-        for lp in &cfg.loops {
-            if !is_hot_header(&lp.header_idents) {
-                continue;
-            }
-            // Direct allocation shapes between the loop braces.
-            for t in lp.body_open + 1..lp.body_close {
-                if input.file.in_test[t] || !any_ident(&toks[t]) {
-                    continue;
-                }
-                let after_dot = t > 0 && is_punct(&toks[t - 1], ".");
-                let called = toks.get(t + 1).is_some_and(|n| is_punct(n, "("));
-                let bang = toks.get(t + 1).is_some_and(|n| is_punct(n, "!"));
-                let what: Option<String> =
-                    if bang && matches!(toks[t].text.as_str(), "vec" | "format") {
-                        Some(format!("`{}!` builds a fresh allocation", toks[t].text))
-                    } else if after_dot
-                        && called
-                        && matches!(
-                            toks[t].text.as_str(),
-                            "to_vec" | "to_owned" | "to_string" | "clone"
-                        )
-                    {
-                        Some(format!(
-                            "`.{}()` copies into a fresh allocation",
-                            toks[t].text
-                        ))
-                    } else if !after_dot
-                        && called
-                        && matches!(toks[t].text.as_str(), "new" | "with_capacity" | "from")
-                        && t >= 2
-                        && is_punct(&toks[t - 1], "::")
-                        && any_ident(&toks[t - 2])
-                        && matches!(
-                            toks[t - 2].text.as_str(),
-                            "Vec" | "Box" | "String" | "VecDeque"
-                        )
-                    {
-                        Some(format!(
-                            "`{}::{}` allocates",
-                            toks[t - 2].text,
-                            toks[t].text
-                        ))
-                    } else if after_dot
-                        && called
-                        && matches!(toks[t].text.as_str(), "push" | "extend")
-                        && t >= 2
-                        && any_ident(&toks[t - 2])
-                        && !reserved.contains(&toks[t - 2].text)
-                        && !nonalloc_calls.contains(&(t + 1))
-                    {
-                        Some(format!(
-                            "`{}.{}(..)` may reallocate — no `with_capacity`/`reserve` \
-                         evidence for `{}` in this file",
-                            toks[t - 2].text,
-                            toks[t].text,
-                            toks[t - 2].text
-                        ))
-                    } else {
-                        None
-                    };
-                if let Some(what) = what {
-                    push(
-                        findings,
-                        &spec,
-                        &input.lines,
-                        ALLOC_IN_HOT_LOOP,
-                        toks[t].line,
-                        toks[t].col,
-                        format!(
-                            "{what} inside this {}-loop over `{}` (line {}) — hot-path \
-                             loops in `{crate_name}` must reuse buffers \
-                             (TraceChunk/BoundedRing contract); hoist the allocation \
-                             out of the loop or pre-reserve",
-                            lp.keyword,
-                            lp.header_idents.join(" "),
-                            lp.line,
-                        ),
-                    );
-                }
-            }
-            // Calls whose summary reaches an allocation.
-            for edge in &node.calls {
-                let s = edge.site;
-                if s.paren_open <= lp.body_open || s.paren_open >= lp.body_close {
-                    continue;
-                }
-                let Some((t, a)) = edge
-                    .targets
-                    .iter()
-                    .filter(|&&t| !ws.fns[t].in_test)
-                    .find_map(|&t| sums[t].alloc.as_ref().map(|a| (t, a)))
-                else {
-                    continue;
-                };
-                let mut chain = vec![ws.fns[t].display_name().to_string()];
-                chain.extend(a.via.iter().cloned());
-                push(
-                    findings,
-                    &spec,
-                    &input.lines,
-                    ALLOC_IN_HOT_LOOP,
-                    s.line,
-                    s.col,
-                    format!(
-                        "this call allocates via {} — {} at line {} of its defining \
-                         file — inside this {}-loop (line {}); hot-path loops in \
-                         `{crate_name}` must reuse buffers; hoist the allocation or \
-                         restructure the callee",
-                        chain
-                            .iter()
-                            .map(|c| format!("`{c}`"))
-                            .collect::<Vec<_>>()
-                            .join(" → "),
-                        a.what,
-                        a.line,
-                        lp.keyword,
-                        lp.line,
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// **swallowed-error** — a `Result` from a workspace function discarded
-/// without the error value reaching any sink: `let _ = f();`,
-/// a bare `f().ok();` statement, or a `match` on the call with an empty
-/// `Err` arm.
-fn swallowed_error(ws: &Workspace<'_>, inputs: &[SemanticInput<'_>], findings: &mut Vec<Finding>) {
-    for (i, node) in ws.fns.iter().enumerate() {
-        if !analyzable(ws, inputs, i) {
+            .any(|e| (m.keyword..m.body_open).contains(&e.site.paren_open) && returns_result(e));
+        if file.in_test[m.keyword] || !scrutinee_has_result {
             continue;
         }
-        let input = &inputs[node.file];
-        let spec = spec_of(input);
-        let toks = input.file.toks;
-        for edge in &node.calls {
-            if edge.targets.is_empty()
-                || !edge.targets.iter().all(|&t| ws.fns[t].def.returns_result)
-            {
-                continue;
-            }
-            let s = edge.site;
-            if input
-                .file
-                .in_test
-                .get(s.paren_open)
-                .copied()
-                .unwrap_or(false)
-            {
-                continue;
-            }
-            // `let _ = f(..);` — binding straight to the wildcard.
-            let discarded_to_wild = s.expr_start >= 3
-                && any_ident(&toks[s.expr_start - 3])
-                && toks[s.expr_start - 3].text == "let"
-                && toks[s.expr_start - 2].text == "_"
-                && is_punct(&toks[s.expr_start - 1], "=")
-                && toks
-                    .get(s.paren_close + 1)
-                    .is_some_and(|t| is_punct(t, ";"));
-            // `f(..).ok();` as a whole statement — converts the error
-            // to None and drops it on the floor.
-            let okd_away = toks
-                .get(s.paren_close + 1)
-                .is_some_and(|t| is_punct(t, "."))
-                && toks
-                    .get(s.paren_close + 2)
-                    .is_some_and(|t| is_ident(t, "ok"))
-                && toks
-                    .get(s.paren_close + 3)
-                    .is_some_and(|t| is_punct(t, "("))
-                && toks
-                    .get(s.paren_close + 4)
-                    .is_some_and(|t| is_punct(t, ")"))
-                && toks
-                    .get(s.paren_close + 5)
-                    .is_some_and(|t| is_punct(t, ";"))
-                && s.expr_start >= 1
-                && (is_punct(&toks[s.expr_start - 1], ";")
-                    || is_punct(&toks[s.expr_start - 1], "{")
-                    || is_punct(&toks[s.expr_start - 1], "}"));
-            if discarded_to_wild || okd_away {
-                let how = if discarded_to_wild {
-                    "is bound to `_`"
-                } else {
-                    "is `.ok()`d away as a statement"
-                };
-                push(
-                    findings,
-                    &spec,
-                    &input.lines,
-                    SWALLOWED_ERROR,
-                    s.line,
-                    s.col,
-                    format!(
-                        "the Result of `{}` {how} — the error never reaches a return, \
-                         a stat, or the quarantine log; propagate it with `?`, record \
-                         it, or waive with the reason the failure is benign",
-                        edge.name,
-                    ),
-                );
+        for arm in &m.arms {
+            let body = &toks[arm.arrow + 1..arm.body_end.min(toks.len())];
+            let empty = body.len() == 2
+                && ((is_punct(&body[0], "{") && is_punct(&body[1], "}"))
+                    || (is_punct(&body[0], "(") && is_punct(&body[1], ")")));
+            // The pattern ends in `Err` or `Err(..)`.
+            let err = (arm.pat..arm.arrow).find(|&k| {
+                is_ident(&toks[k], "Err")
+                    && (k + 1 == arm.arrow
+                        || (is_punct(&toks[k + 1], "(")
+                            && matching(toks, k + 1) == Some(arm.arrow - 1)))
+            });
+            if let Some(k) = err.filter(|_| empty) {
+                let what = "this `Err` arm silently drops the error";
+                out.push(SWALLOWED_ERROR.at(file.path, toks[k].line, toks[k].col, what));
             }
         }
-        // `match f(..) { .. Err(_) => {} .. }` — an empty Err arm on a
-        // scrutinee containing a workspace Result call.
-        empty_err_arms(ws, node, input, &spec, findings);
-    }
-}
-
-/// Scan a function's `match` statements for empty `Err` arms whose
-/// scrutinee contains a call to a workspace function returning Result.
-/// Token-level: the AST's `MatchSite` records arm shapes but not token
-/// spans, and the empty-body test needs exact tokens.
-fn empty_err_arms(
-    ws: &Workspace<'_>,
-    node: &crate::symbols::FnNode<'_>,
-    input: &SemanticInput<'_>,
-    spec: &FileSpec<'_>,
-    findings: &mut Vec<Finding>,
-) {
-    let toks = input.file.toks;
-    let Some(body) = &node.def.body else {
-        return;
-    };
-    let mut t = body.open + 1;
-    while t < body.close {
-        if input.file.in_test.get(t).copied().unwrap_or(false)
-            || !(is_ident(&toks[t], "match"))
-            || (t > 0 && is_punct(&toks[t - 1], "."))
-        {
-            t += 1;
-            continue;
-        }
-        // Locate the match body `{`: first depth-0 brace after the
-        // scrutinee, skipping paren/bracket groups; bail at `;`.
-        let kw = t;
-        let mut u = t + 1;
-        let mut body_open = None;
-        while u < body.close {
-            if is_punct(&toks[u], "(") || is_punct(&toks[u], "[") {
-                let (o, c) = if toks[u].text == "(" {
-                    ("(", ")")
-                } else {
-                    ("[", "]")
-                };
-                match matching(toks, u, o, c) {
-                    Some(close) => u = close + 1,
-                    None => break,
-                }
-                continue;
-            }
-            if is_punct(&toks[u], ";") {
-                break;
-            }
-            if is_punct(&toks[u], "{") {
-                body_open = Some(u);
-                break;
-            }
-            u += 1;
-        }
-        let Some(mo) = body_open else {
-            t += 1;
-            continue;
-        };
-        let Some(mc) = matching(toks, mo, "{", "}") else {
-            t += 1;
-            continue;
-        };
-        let scrutinee_has_result = node.calls.iter().any(|edge| {
-            let p = edge.site.paren_open;
-            p > kw
-                && p < mo
-                && !edge.targets.is_empty()
-                && edge.targets.iter().all(|&x| ws.fns[x].def.returns_result)
-        });
-        if !scrutinee_has_result {
-            t = mo + 1;
-            continue;
-        }
-        // Find `Err(..)? => {}` / `Err(..)? => ()` arms in the body.
-        let mut a = mo + 1;
-        while a < mc {
-            if !input.file.in_test.get(a).copied().unwrap_or(false)
-                && any_ident(&toks[a])
-                && toks[a].text == "Err"
-            {
-                let mut after = a + 1;
-                if toks.get(after).is_some_and(|x| is_punct(x, "(")) {
-                    if let Some(close) = matching(toks, after, "(", ")") {
-                        after = close + 1;
-                    }
-                }
-                let is_arrow = toks.get(after).is_some_and(|x| is_punct(x, "=>"));
-                if is_arrow {
-                    let b = after + 1;
-                    let empty_braces = toks.get(b).is_some_and(|x| is_punct(x, "{"))
-                        && toks.get(b + 1).is_some_and(|x| is_punct(x, "}"));
-                    let unit_body = toks.get(b).is_some_and(|x| is_punct(x, "("))
-                        && toks.get(b + 1).is_some_and(|x| is_punct(x, ")"));
-                    if empty_braces || unit_body {
-                        push(
-                            findings,
-                            spec,
-                            &input.lines,
-                            SWALLOWED_ERROR,
-                            toks[a].line,
-                            toks[a].col,
-                            "this `Err` arm silently drops the error — it never \
-                             reaches a return, a stat, or the quarantine log; record \
-                             or propagate it, or waive with the reason it is benign"
-                                .to_string(),
-                        );
-                    }
-                }
-            }
-            a += 1;
-        }
-        t = mo + 1;
     }
 }
 
 /// **unbounded-growth-in-stream** — a field of a struct defined in a
-/// `*stream.rs` file is `.push(..)`/`.extend(..)`-ed inside a loop, and
-/// no path in the file ever drains it (`pop`/`clear`/`truncate`/
-/// `drain`/`remove`) nor carries capacity evidence. That is the
-/// stays-resident-forever shape the bounded-memory streaming contract
-/// (BoundedRing) exists to prevent.
+/// `*stream.rs` file is `.push(..)`/`.extend(..)`-ed inside a loop of
+/// that file, and no path in the file ever drains it (`pop`/`clear`/
+/// `truncate`/`drain`/`remove`) nor carries capacity evidence. That is
+/// the stays-resident-forever shape the bounded-memory streaming
+/// contract (BoundedRing) exists to prevent.
 fn unbounded_growth_in_stream(
     ws: &Workspace<'_>,
-    inputs: &[SemanticInput<'_>],
+    files: &[FileInput<'_>],
     flows: &[Option<FnFlow>],
-    findings: &mut Vec<Finding>,
+    out: &mut Vec<Finding>,
 ) {
     // Fields of structs defined in each stream file.
     let mut stream_fields: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
     for &(file, sd) in &ws.structs {
-        if !inputs[file].file.path.ends_with("stream.rs") {
-            continue;
+        if files[file].path.ends_with("stream.rs") {
+            let fields = stream_fields.entry(file).or_default();
+            fields.extend(sd.fields.iter().map(|f| f.name.clone()));
         }
-        stream_fields
-            .entry(file)
-            .or_default()
-            .extend(sd.fields.iter().map(|f| f.name.clone()));
     }
-    if stream_fields.is_empty() {
-        return;
-    }
-
-    // Relief evidence per file: any `.field.pop()` style drain call, or
+    // Relief evidence per file: any `.field.pop()`-style drain call, or
     // capacity evidence, anywhere in the file (any path suffices — the
     // lint under-matches by design).
     let mut relieved: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
     for (&file, fields) in &stream_fields {
-        let toks = inputs[file].file.toks;
+        let toks = files[file].toks;
         let mut set = capacity_evidenced(toks);
         for t in 2..toks.len() {
-            if any_ident(&toks[t])
-                && matches!(
-                    toks[t].text.as_str(),
-                    "pop"
-                        | "pop_front"
-                        | "pop_back"
-                        | "clear"
-                        | "truncate"
-                        | "drain"
-                        | "remove"
-                        | "swap_remove"
-                )
+            if matches!(
+                toks[t].text.as_str(),
+                "pop"
+                    | "pop_front"
+                    | "pop_back"
+                    | "clear"
+                    | "truncate"
+                    | "drain"
+                    | "remove"
+                    | "swap_remove"
+            ) && toks[t].kind == TokKind::Ident
                 && is_punct(&toks[t - 1], ".")
-                && any_ident(&toks[t - 2])
                 && fields.contains(&toks[t - 2].text)
             {
                 set.insert(toks[t - 2].text.clone());
@@ -1154,49 +670,33 @@ fn unbounded_growth_in_stream(
     }
 
     for (i, node) in ws.fns.iter().enumerate() {
-        let Some(flow) = &flows[i] else { continue };
-        let Some(cfg) = &flow.cfg else { continue };
-        let Some(fields) = stream_fields.get(&node.file) else {
+        let (Some(_), Some(fields), Some(body)) =
+            (&flows[i], stream_fields.get(&node.file), &node.def.body)
+        else {
             continue;
         };
-        let relief = &relieved[&node.file];
-        let input = &inputs[node.file];
-        let spec = spec_of(input);
-        let toks = input.file.toks;
-
-        for lp in &cfg.loops {
+        let file = &files[node.file];
+        let toks = file.toks;
+        for lp in &body.loops {
             for t in lp.body_open + 1..lp.body_close {
-                if input.file.in_test.get(t).copied().unwrap_or(false) {
-                    continue;
-                }
-                if !(any_ident(&toks[t])
-                    && matches!(toks[t].text.as_str(), "push" | "extend" | "push_back")
+                let grows = matches!(toks[t].text.as_str(), "push" | "extend" | "push_back")
+                    && toks[t].kind == TokKind::Ident
                     && toks.get(t + 1).is_some_and(|n| is_punct(n, "("))
                     && t >= 2
-                    && is_punct(&toks[t - 1], ".")
-                    && any_ident(&toks[t - 2]))
-                {
+                    && is_punct(&toks[t - 1], ".");
+                if file.in_test[t] || !grows {
                     continue;
                 }
                 let field = &toks[t - 2].text;
-                if !fields.contains(field) || relief.contains(field) {
+                if !fields.contains(field) || relieved[&node.file].contains(field) {
                     continue;
                 }
-                push(
-                    findings,
-                    &spec,
-                    &input.lines,
-                    UNBOUNDED_GROWTH_IN_STREAM,
-                    toks[t].line,
-                    toks[t].col,
-                    format!(
-                        "streaming-struct field `{field}` grows inside this loop \
-                         (line {}) and nothing in this file ever pops, clears, \
-                         truncates, or drains it — memory stays resident for the \
-                         whole replay; bound it (BoundedRing) or add a drain path",
-                        lp.line,
-                    ),
+                let what = format!(
+                    "streaming-struct field `{field}` grows inside this loop (line {}) and nothing \
+                     in this file ever pops, clears, truncates, or drains it",
+                    toks[lp.keyword].line,
                 );
+                out.push(UNBOUNDED_GROWTH_IN_STREAM.at(file.path, toks[t].line, toks[t].col, what));
             }
         }
     }

@@ -1,27 +1,24 @@
-//! Bottom-up interprocedural effect summaries over call-graph SCCs.
+//! Per-function effects and their bottom-up propagation over call-graph
+//! strongly connected components.
 //!
-//! PR 8's dataflow tier stopped at function boundaries: a tainted value
-//! returned from a helper lost its provenance at the call site, a lock
-//! acquired two calls down was invisible to the guard lints, and an
-//! allocation hidden in a callee never counted against a hot loop. This
-//! pass closes those holes with one `FnSummary` per workspace function:
+//! Each effect has exactly one recognizer over a function's own body:
 //!
-//! * **allocation effect** — does the function (transitively) allocate,
-//!   and through which call chain (for the finding message);
-//! * **lock effect** — does it (transitively) acquire a lock — the
-//!   generalization of the PR-8 `locks_trans` fixpoint;
-//! * **blocking effect** — does it (transitively) reach a blocking call
-//!   (`recv`/`wait`/`sleep`/blocking reads), feeding the
-//!   guard-across-blocking-call lint;
-//! * **provenance transfer** — the tag set of its returned values, so
-//!   `let x = current_cycle();` seeds `x` with `TAG_CYCLE` in the
-//!   caller's dataflow instead of dropping to ⊥.
+//! * **panic** — the parser's direct panic sites (`unwrap`/`expect`/
+//!   `panic!` family), minus the waived ones (the caller filters those,
+//!   since waivers live with the file);
+//! * **lock** — a `.lock()` call;
+//! * **block** — a call that parks the thread (`recv`/`wait`/`sleep`/
+//!   blocking reads);
+//! * **alloc** — an allocating shape ([`alloc_shape`]).
 //!
-//! The pass condenses the call graph into strongly connected components
-//! (Tarjan), then walks components bottom-up — Tarjan emits an SCC only
-//! after everything it calls into — iterating the members of each SCC
-//! to a fixpoint (all effects are monotone: booleans only flip to true,
-//! tag sets only grow, and an allocation effect is set at most once).
+//! [`propagate`] then walks the condensation bottom-up — Tarjan emits an
+//! SCC only after everything it calls into — so a function inherits an
+//! effect from the first callee that has it, with that callee prepended
+//! to the `via` chain the finding messages print. Within an SCC the
+//! members iterate to a fixpoint; effects only ever go from absent to
+//! present, so the walk terminates. [`return_tags`] runs the same walk
+//! for the provenance tags of returned values, so `let x =
+//! current_cycle();` seeds `x` with `TAG_CYCLE` in the caller's dataflow.
 //!
 //! Conservatism contract: summaries under-match like everything else in
 //! this linter. An unresolved call contributes nothing (no edge ⇒ no
@@ -32,9 +29,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::ast::Callee;
+use crate::ast::{BodyFacts, Callee};
 use crate::dataflow::{self, FnFlow, Tags};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{is_punct, TokKind, Token};
 use crate::symbols::{FileInput, Workspace};
 
 /// Method calls that block the calling thread. Deliberately tight:
@@ -50,186 +47,181 @@ const BLOCKING_METHODS: &[&str] = &[
     "read_line",
 ];
 
-/// Allocating constructor paths: `Type::ctor` (turbofish tolerated).
-const ALLOC_CTORS: &[(&str, &str)] = &[
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("Box", "new"),
-    ("String", "new"),
-    ("String", "from"),
-    ("String", "with_capacity"),
-];
-
-/// Allocating methods summarized through calls. `.clone(` is absent by
-/// design (see module docs).
-const ALLOC_METHODS: &[&str] = &["to_vec", "to_owned", "to_string"];
-
-/// An allocation reachable from a function, with the call chain that
-/// reaches it (empty for a direct allocation).
+/// One effect reachable from a function.
 #[derive(Clone, Debug)]
-pub struct AllocEffect {
-    /// The allocating shape, e.g. `Vec::new` or `format!`.
+pub struct Reach {
+    /// The effect's site shape, e.g. `unwrap`, `.recv()`, `Vec::new`.
     pub what: String,
-    /// 1-based line of the allocation site in its own file.
+    /// Function holding the site.
+    pub sink: usize,
+    /// 1-based line of the site in its own file.
     pub line: u32,
     /// Display names of the callees between this function and the
-    /// site, outermost first.
+    /// site, outermost first (empty for a direct effect).
     pub via: Vec<String>,
 }
 
-/// The interprocedural effect summary of one function.
-#[derive(Clone, Debug, Default)]
-pub struct FnSummary {
-    /// Acquires a lock in its own body.
-    pub direct_lock: bool,
-    /// Acquires a lock transitively (includes `direct_lock`).
-    pub locks: bool,
-    /// Reaches a blocking call in its own body.
-    pub direct_block: bool,
-    /// Reaches a blocking call transitively (includes `direct_block`).
-    pub blocks: bool,
-    /// The blocking call's name, for messages.
-    pub block_what: Option<String>,
-    /// The first reachable allocation, if any.
-    pub alloc: Option<AllocEffect>,
+/// The lock, block and allocation effects of every function, plus the
+/// provenance tags of its returned values (all indexed like `ws.fns`).
+pub struct Summaries {
+    /// Acquires a lock.
+    pub lock: Vec<Option<Reach>>,
+    /// Reaches a blocking call.
+    pub block: Vec<Option<Reach>>,
+    /// Reaches an allocation.
+    pub alloc: Vec<Option<Reach>>,
     /// Provenance tags of the function's returned values.
-    pub returns_tags: Tags,
+    pub returns_tags: Vec<Tags>,
 }
 
-/// Computes one summary per `ws.fns` entry (parallel indexing).
-/// `flows` are the phase-1 intra-procedural results, also parallel.
+/// Computes the dataflow-stage summaries. `flows` are the phase-1
+/// intra-procedural results (parallel to `ws.fns`), which seed the
+/// return tags.
 pub fn summarize(
     ws: &Workspace<'_>,
     files: &[FileInput<'_>],
     flows: &[Option<FnFlow>],
-) -> Vec<FnSummary> {
-    let n = ws.fns.len();
-    let mut sums: Vec<FnSummary> = Vec::with_capacity(n);
-    for (i, f) in ws.fns.iter().enumerate() {
-        let mut s = FnSummary::default();
-        if let Some(flow) = flows.get(i).and_then(Option::as_ref) {
-            s.direct_lock = !flow.locks.is_empty();
-            s.locks = s.direct_lock;
-        }
-        // Test-only functions keep an empty summary: they are never
-        // call-resolution targets, and their bodies (assert scaffolding,
-        // Vec-heavy setup) must not leak effects into product findings.
-        if !f.in_test {
-            if let Some(body) = f.def.body.as_ref() {
-                let toks = files[f.file].toks;
-                for c in &body.calls {
-                    if let Callee::Method { name, .. } = &c.callee {
-                        if BLOCKING_METHODS.contains(&name.as_str()) {
-                            s.direct_block = true;
-                            s.blocks = true;
-                            s.block_what.get_or_insert_with(|| format!(".{name}()"));
-                        }
-                    }
-                    if let Callee::Path(segs) = &c.callee {
-                        if segs.last().is_some_and(|l| l == "sleep") {
-                            s.direct_block = true;
-                            s.blocks = true;
-                            s.block_what.get_or_insert_with(|| segs.join("::") + "()");
-                        }
-                    }
-                }
-                s.alloc = direct_alloc(toks, body);
+) -> Summaries {
+    let sccs = tarjan(ws);
+    let lock = direct(ws, files, |_, body| {
+        body.calls.iter().find_map(|c| match &c.callee {
+            Callee::Method { name, .. } if name == "lock" => Some((".lock()".to_owned(), c.line)),
+            Callee::Method { .. } | Callee::Path(_) => None,
+        })
+    });
+    let block = direct(ws, files, |_, body| {
+        body.calls.iter().find_map(|c| match &c.callee {
+            Callee::Method { name, .. } if BLOCKING_METHODS.contains(&name.as_str()) => {
+                Some((format!(".{name}()"), c.line))
             }
-        }
-        sums.push(s);
+            Callee::Path(segs) if segs.last().is_some_and(|l| l == "sleep") => {
+                Some((segs.join("::") + "()", c.line))
+            }
+            Callee::Method { .. } | Callee::Path(_) => None,
+        })
+    });
+    let alloc = direct(ws, files, |toks, body| {
+        (body.open + 1..body.close.min(toks.len()))
+            .find_map(|i| alloc_shape(toks, i).map(|what| (what, toks[i].line)))
+    });
+    Summaries {
+        lock: propagate(ws, &sccs, lock),
+        block: propagate(ws, &sccs, block),
+        alloc: propagate(ws, &sccs, alloc),
+        returns_tags: return_tags(ws, &sccs, files, flows),
     }
+}
 
-    // Phase-1 return tags, from the intra-procedural environment only.
-    for (i, f) in ws.fns.iter().enumerate() {
-        if let (Some(flow), Some(body)) = (flows[i].as_ref(), f.def.body.as_ref()) {
-            let toks = files[f.file].toks;
-            sums[i].returns_tags = dataflow::return_tags(toks, body, flow, &BTreeMap::new());
-        }
-    }
+/// One effect's direct sites: the first `(what, line)` the recognizer
+/// finds in each function's own body. Test-only functions keep no
+/// effects: they are never call-resolution targets, and their bodies
+/// (assert scaffolding, Vec-heavy setup) must not leak effects into
+/// product findings.
+fn direct<F>(ws: &Workspace<'_>, files: &[FileInput<'_>], recognize: F) -> Vec<Option<Reach>>
+where
+    F: Fn(&[Token], &BodyFacts) -> Option<(String, u32)>,
+{
+    ws.fns
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let body = f.def.body.as_ref().filter(|_| !f.in_test)?;
+            let (what, line) = recognize(files[f.file].toks, body)?;
+            Some(Reach {
+                what,
+                sink: i,
+                line,
+                via: Vec::new(),
+            })
+        })
+        .collect()
+}
 
-    // Bottom-up over the condensation. Tarjan emits each SCC after all
-    // SCCs it reaches, so a single pass in emission order sees callee
-    // summaries already settled; within an SCC, iterate to fixpoint.
-    for scc in tarjan(ws) {
+/// Lifts direct effects (one per function, indexed like `ws.fns`) to
+/// transitive ones: bottom-up over the SCCs of `sccs`, a function
+/// without a direct effect inherits the first effect among its callees.
+pub fn propagate(
+    ws: &Workspace<'_>,
+    sccs: &[Vec<usize>],
+    mut reach: Vec<Option<Reach>>,
+) -> Vec<Option<Reach>> {
+    for scc in sccs {
         loop {
             let mut changed = false;
-            for &i in &scc {
-                let f = &ws.fns[i];
-                let mut locks = sums[i].locks;
-                let mut blocks = sums[i].blocks;
-                let mut block_what = sums[i].block_what.clone();
-                let mut alloc = sums[i].alloc.clone();
-                let mut call_rets: BTreeMap<usize, Tags> = BTreeMap::new();
-                for c in &f.calls {
-                    let mut ret: Tags = 0;
-                    for &t in &c.targets {
-                        locks |= sums[t].locks;
-                        if sums[t].blocks {
-                            blocks = true;
-                            block_what.get_or_insert_with(|| {
-                                format!(
-                                    "{} (reaching {})",
-                                    ws.fns[t].display_name(),
-                                    sums[t].block_what.as_deref().unwrap_or("a blocking call")
-                                )
-                            });
-                        }
-                        if alloc.is_none() && !f.in_test {
-                            if let Some(a) = &sums[t].alloc {
-                                let mut via = vec![ws.fns[t].display_name()];
-                                via.extend(a.via.iter().cloned());
-                                alloc = Some(AllocEffect {
-                                    what: a.what.clone(),
-                                    line: a.line,
-                                    via,
-                                });
-                            }
-                        }
-                        ret |= sums[t].returns_tags;
-                    }
-                    if ret != 0 {
-                        call_rets.insert(c.site.paren_open, ret);
-                    }
+            for &i in scc {
+                if reach[i].is_some() || ws.fns[i].in_test {
+                    continue;
                 }
-                let mut returns_tags = sums[i].returns_tags;
-                if !call_rets.is_empty() {
-                    if let (Some(flow), Some(body)) = (flows[i].as_ref(), f.def.body.as_ref()) {
-                        let toks = files[f.file].toks;
-                        returns_tags |= dataflow::return_tags(toks, body, flow, &call_rets);
-                    }
+                let inherited = ws.fns[i]
+                    .calls
+                    .iter()
+                    .flat_map(|c| c.targets.iter())
+                    .find_map(|&t| {
+                        let r = reach[t].as_ref()?;
+                        let mut via = vec![ws.fns[t].display_name()];
+                        via.extend(r.via.iter().cloned());
+                        Some(Reach { via, ..r.clone() })
+                    });
+                if inherited.is_some() {
+                    reach[i] = inherited;
+                    changed = true;
                 }
-                let s = &mut sums[i];
-                changed |= locks != s.locks
-                    || blocks != s.blocks
-                    || returns_tags != s.returns_tags
-                    || alloc.is_some() != s.alloc.is_some();
-                s.locks = locks;
-                s.blocks = blocks;
-                s.block_what = block_what;
-                s.alloc = alloc;
-                s.returns_tags = returns_tags;
             }
             if !changed {
                 break;
             }
         }
     }
-    sums
+    reach
+}
+
+/// Return tags per function: the intra-procedural tags of each body's
+/// returned values, grown bottom-up by the return tags of the calls
+/// appearing in those values.
+fn return_tags(
+    ws: &Workspace<'_>,
+    sccs: &[Vec<usize>],
+    files: &[FileInput<'_>],
+    flows: &[Option<FnFlow>],
+) -> Vec<Tags> {
+    let tags_with = |i: usize, call_rets: &BTreeMap<usize, Tags>| -> Tags {
+        let f = &ws.fns[i];
+        match (flows[i].as_ref(), f.def.body.as_ref()) {
+            (Some(flow), Some(body)) => {
+                dataflow::return_tags(files[f.file].toks, body, flow, call_rets)
+            }
+            _ => 0,
+        }
+    };
+    let mut tags: Vec<Tags> = (0..ws.fns.len())
+        .map(|i| tags_with(i, &BTreeMap::new()))
+        .collect();
+    for scc in sccs {
+        loop {
+            let mut changed = false;
+            for &i in scc {
+                let call_rets = call_return_tags(ws, &tags, i);
+                if call_rets.is_empty() {
+                    continue;
+                }
+                let grown = tags[i] | tags_with(i, &call_rets);
+                changed |= grown != tags[i];
+                tags[i] = grown;
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+    tags
 }
 
 /// Per-caller map from call-site `paren_open` token to the union of the
 /// targets' return tags — the seed for the caller's phase-2 dataflow.
-pub fn call_return_tags(
-    ws: &Workspace<'_>,
-    sums: &[FnSummary],
-    fn_id: usize,
-) -> BTreeMap<usize, Tags> {
+pub fn call_return_tags(ws: &Workspace<'_>, tags: &[Tags], fn_id: usize) -> BTreeMap<usize, Tags> {
     let mut map = BTreeMap::new();
     for c in &ws.fns[fn_id].calls {
-        let mut ret: Tags = 0;
-        for &t in &c.targets {
-            ret |= sums[t].returns_tags;
-        }
+        let ret = c.targets.iter().fold(0, |acc, &t| acc | tags[t]);
         if ret != 0 {
             map.insert(c.site.paren_open, ret);
         }
@@ -237,83 +229,62 @@ pub fn call_return_tags(
     map
 }
 
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-/// First allocating shape in a body's token range, if any.
-fn direct_alloc(toks: &[Token], body: &crate::ast::BodyFacts) -> Option<AllocEffect> {
-    let hit = |what: &str, line: u32| {
-        Some(AllocEffect {
-            what: what.to_owned(),
-            line,
-            via: Vec::new(),
-        })
-    };
-    let end = body.close.min(toks.len());
-    let mut i = body.open + 1;
-    while i < end {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident {
-            // `vec![…]` / `format!(…)`.
-            if (t.text == "vec" || t.text == "format")
-                && toks.get(i + 1).is_some_and(|n| is_punct(n, "!"))
-            {
-                return hit(&format!("{}!", t.text), t.line);
-            }
-            // `Type::ctor(`, tolerating a `::<T>` turbofish.
-            if ALLOC_CTORS.iter().any(|(ty, _)| *ty == t.text)
-                && toks.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-            {
-                let mut j = i + 2;
-                if toks.get(j).is_some_and(|n| is_punct(n, "<")) {
-                    let mut depth = 1u32;
-                    j += 1;
-                    while j < end && depth > 0 {
-                        if is_punct(&toks[j], "<") {
-                            depth += 1;
-                        } else if is_punct(&toks[j], ">") {
-                            depth -= 1;
-                        } else if is_punct(&toks[j], ">>") {
-                            depth = depth.saturating_sub(2);
-                        }
-                        j += 1;
-                    }
-                    if !toks.get(j).is_some_and(|n| is_punct(n, "::")) {
-                        i += 1;
-                        continue;
-                    }
-                    j += 1;
-                }
-                if let Some(m) = toks.get(j) {
-                    if m.kind == TokKind::Ident
-                        && ALLOC_CTORS
-                            .iter()
-                            .any(|(ty, c)| *ty == t.text && *c == m.text)
-                        && toks.get(j + 1).is_some_and(|n| is_punct(n, "("))
-                    {
-                        return hit(&format!("{}::{}", t.text, m.text), t.line);
-                    }
-                }
-            }
-            // `.to_vec(` and friends.
-            if i > 0
-                && is_punct(&toks[i - 1], ".")
-                && ALLOC_METHODS.contains(&t.text.as_str())
-                && toks.get(i + 1).is_some_and(|n| is_punct(n, "("))
-            {
-                return hit(&format!(".{}()", t.text), t.line);
+/// The allocating shape whose first token is `toks[i]`, if any:
+/// `vec![…]`/`format!(…)`, an allocating constructor (`Vec::new(`,
+/// `String::from(`, … — a `::<T>` turbofish is tolerated), or a copying
+/// `.to_vec()`/`.to_owned()`/`.to_string()`. `.clone()` is not one (see
+/// the module docs).
+pub fn alloc_shape(toks: &[Token], i: usize) -> Option<String> {
+    let t = &toks[i];
+    if t.kind != TokKind::Ident {
+        return None;
+    }
+    let next_is = |j: usize, p: &str| toks.get(j).is_some_and(|n| is_punct(n, p));
+    if matches!(t.text.as_str(), "vec" | "format") && next_is(i + 1, "!") {
+        return Some(format!("{}!", t.text));
+    }
+    if i > 0
+        && is_punct(&toks[i - 1], ".")
+        && matches!(t.text.as_str(), "to_vec" | "to_owned" | "to_string")
+        && next_is(i + 1, "(")
+    {
+        return Some(format!(".{}()", t.text));
+    }
+    if !matches!(t.text.as_str(), "Vec" | "Box" | "String" | "VecDeque") || !next_is(i + 1, "::") {
+        return None;
+    }
+    let mut j = i + 2;
+    if next_is(j, "<") {
+        // Turbofish: skip to the matching `>` (`>>` closes two levels).
+        let mut depth = 0i32;
+        while let Some(n) = toks.get(j) {
+            depth += match n.text.as_str() {
+                "<" => 1,
+                ">" => -1,
+                ">>" => -2,
+                _ => 0,
+            };
+            j += 1;
+            if depth <= 0 {
+                break;
             }
         }
-        i += 1;
+        if !next_is(j, "::") {
+            return None;
+        }
+        j += 1;
     }
-    None
+    let ctor = toks.get(j)?;
+    (ctor.kind == TokKind::Ident
+        && matches!(ctor.text.as_str(), "new" | "with_capacity" | "from")
+        && next_is(j + 1, "("))
+    .then(|| format!("{}::{}", t.text, ctor.text))
 }
 
 /// Tarjan's SCC algorithm over the call graph, iterative to keep deep
 /// call chains off the native stack. Emission order is bottom-up: every
 /// SCC is produced after all SCCs it has edges into.
-fn tarjan(ws: &Workspace<'_>) -> Vec<Vec<usize>> {
+pub fn tarjan(ws: &Workspace<'_>) -> Vec<Vec<usize>> {
     let n = ws.fns.len();
     const UNSEEN: u32 = u32::MAX;
     let mut index = vec![UNSEEN; n];
@@ -407,6 +378,14 @@ mod tests {
         }
     }
 
+    /// One function's summary, gathered from the parallel vectors.
+    struct FnSummary {
+        lock: Option<Reach>,
+        block: Option<Reach>,
+        alloc: Option<Reach>,
+        returns_tags: Tags,
+    }
+
     fn summaries_for(src: &str) -> (Vec<String>, Vec<FnSummary>) {
         let b = build_one(src);
         let files = vec![FileInput {
@@ -421,10 +400,21 @@ mod tests {
         let flows: Vec<Option<FnFlow>> = ws
             .fns
             .iter()
-            .map(|f| dataflow::analyze(files[f.file].toks, files[f.file].in_test, f.def))
+            .map(|f| {
+                let (toks, mask) = (files[f.file].toks, files[f.file].in_test);
+                dataflow::analyze_with(toks, mask, f.def, &BTreeMap::new(), true)
+            })
             .collect();
         let names = ws.fns.iter().map(|f| f.display_name()).collect();
-        let sums = summarize(&ws, &files, &flows);
+        let s = summarize(&ws, &files, &flows);
+        let sums = (0..ws.fns.len())
+            .map(|i| FnSummary {
+                lock: s.lock[i].clone(),
+                block: s.block[i].clone(),
+                alloc: s.alloc[i].clone(),
+                returns_tags: s.returns_tags[i],
+            })
+            .collect();
         (names, sums)
     }
 
@@ -477,21 +467,20 @@ mod tests {
              pub fn waits(rx: &std::sync::mpsc::Receiver<u64>) -> u64 { rx.recv().unwrap_or(0) }\n\
              pub fn calls_waits(rx: &std::sync::mpsc::Receiver<u64>) -> u64 { waits(rx) }\n",
         );
+        let direct = |r: &Option<Reach>| r.as_ref().is_some_and(|r| r.via.is_empty());
+        let transitive = |r: &Option<Reach>| r.as_ref().is_some_and(|r| !r.via.is_empty());
         let bump = sum_of(&names, &sums, "P::bump");
-        assert!(bump.direct_lock && bump.locks);
+        assert!(direct(&bump.lock));
         let outer = sum_of(&names, &sums, "P::outer");
-        assert!(
-            !outer.direct_lock && outer.locks,
-            "lock effect is transitive"
-        );
+        assert!(transitive(&outer.lock), "lock effect is transitive");
         let waits = sum_of(&names, &sums, "waits");
-        assert!(waits.direct_block && waits.blocks);
+        assert!(direct(&waits.block));
         let cw = sum_of(&names, &sums, "calls_waits");
-        assert!(
-            !cw.direct_block && cw.blocks,
-            "blocking effect is transitive"
-        );
-        assert!(cw.block_what.as_deref().unwrap_or("").contains("waits"));
+        assert!(transitive(&cw.block), "blocking effect is transitive");
+        assert!(cw
+            .block
+            .as_ref()
+            .is_some_and(|r| r.via.contains(&"waits".to_owned())));
     }
 
     #[test]

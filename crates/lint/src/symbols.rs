@@ -12,9 +12,9 @@
 //! the graph — and therefore every finding derived from it — is
 //! deterministic.
 
-use crate::ast::{visit_enums, visit_fns, visit_structs, Ast, Callee, EnumDef, FnDef, ImplBlock};
+use crate::ast::{visit_enums, visit_fns, visit_structs, Ast, Callee, FnDef, ImplBlock};
 use crate::lexer::Token;
-use crate::lints::{is_punct, FileKind};
+use crate::lints::FileKind;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Analyzed context of one source file, supplied by the caller.
@@ -70,19 +70,8 @@ pub struct CallEdge<'a> {
     pub site: &'a crate::ast::CallSite,
     /// Display name of the callee, for messages.
     pub name: String,
-    /// Whether the call is a bare statement (`…;` discarding the value).
-    pub bare_statement: bool,
     /// Resolved target functions (empty when unknown/out-of-workspace).
     pub targets: Vec<usize>,
-}
-
-/// A closed enum the dispatch lint protects: union of variants across
-/// same-named workspace definitions.
-pub struct ClosedEnum {
-    /// Variant names.
-    pub variants: BTreeSet<String>,
-    /// Defining file index (first definition, for messages).
-    pub file: usize,
 }
 
 /// The workspace graph.
@@ -91,8 +80,9 @@ pub struct Workspace<'a> {
     pub fns: Vec<FnNode<'a>>,
     /// Every struct definition with its file index.
     pub structs: Vec<(usize, &'a crate::ast::StructDef)>,
-    /// Closed (`#[non_exhaustive]`-free) workspace enums by name.
-    pub closed_enums: BTreeMap<String, ClosedEnum>,
+    /// Closed (`#[non_exhaustive]`-free) workspace enums by name, with
+    /// the union of variants across same-named definitions.
+    pub closed_enums: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Key sets used during call resolution.
@@ -148,7 +138,7 @@ fn starts_upper(s: &str) -> bool {
 pub fn build<'a>(files: &[FileInput<'a>]) -> Workspace<'a> {
     let mut fns: Vec<FnNode<'a>> = Vec::new();
     let mut structs = Vec::new();
-    let mut closed: BTreeMap<String, ClosedEnum> = BTreeMap::new();
+    let mut closed: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut open_enums: BTreeSet<String> = BTreeSet::new();
 
     for (fi, file) in files.iter().enumerate() {
@@ -168,11 +158,17 @@ pub fn build<'a>(files: &[FileInput<'a>]) -> Workspace<'a> {
                 structs.push((fi, s));
             }
         }
+        // `#[non_exhaustive]` anywhere poisons the name.
         for e in visit_enums(file.ast) {
             if whole_file_test || e.in_test {
                 continue;
             }
-            record_enum(&mut closed, &mut open_enums, fi, e);
+            if e.non_exhaustive {
+                open_enums.insert(e.name.clone());
+            } else {
+                let variants = closed.entry(e.name.clone()).or_default();
+                variants.extend(e.variants.iter().cloned());
+            }
         }
     }
     for name in &open_enums {
@@ -190,7 +186,6 @@ pub fn build<'a>(files: &[FileInput<'a>]) -> Workspace<'a> {
             edges.push(CallEdge {
                 site,
                 name: callee_name(&site.callee),
-                bare_statement: bare_statement(file.toks, site),
                 targets,
             });
         }
@@ -204,31 +199,6 @@ pub fn build<'a>(files: &[FileInput<'a>]) -> Workspace<'a> {
         fns,
         structs,
         closed_enums: closed,
-    }
-}
-
-/// Tracks an enum definition: `#[non_exhaustive]` poisons the name.
-fn record_enum(
-    closed: &mut BTreeMap<String, ClosedEnum>,
-    open: &mut BTreeSet<String>,
-    fi: usize,
-    e: &EnumDef,
-) {
-    if e.non_exhaustive {
-        open.insert(e.name.clone());
-        return;
-    }
-    match closed.get_mut(&e.name) {
-        Some(existing) => existing.variants.extend(e.variants.iter().cloned()),
-        None => {
-            closed.insert(
-                e.name.clone(),
-                ClosedEnum {
-                    variants: e.variants.iter().cloned().collect(),
-                    file: fi,
-                },
-            );
-        }
     }
 }
 
@@ -293,22 +263,6 @@ fn callee_name(c: &Callee) -> String {
         Callee::Path(segs) => segs.join("::"),
         Callee::Method { name, on_self: _ } => name.clone(),
     }
-}
-
-/// Whether the call is a whole bare statement: preceded by a statement
-/// boundary and immediately terminated by `;`.
-fn bare_statement(toks: &[Token], site: &crate::ast::CallSite) -> bool {
-    let after_semi = toks
-        .get(site.paren_close + 1)
-        .is_some_and(|t| is_punct(t, ";"));
-    if !after_semi {
-        return false;
-    }
-    if site.expr_start == 0 {
-        return false;
-    }
-    toks.get(site.expr_start - 1)
-        .is_some_and(|t| is_punct(t, ";") || is_punct(t, "{") || is_punct(t, "}"))
 }
 
 /// Resolves one call site to target fn ids. Empty when the callee is

@@ -13,7 +13,7 @@ pub fn tock() -> u64 {
     if flush_counters().is_ok() {
         return 1;
     }
-    // tcp-lint: allow(discarded-result) -- counter flush is advisory during shutdown.
+    // tcp-lint: allow(swallowed-error) -- counter flush is advisory during shutdown.
     flush_counters();
     0
 }

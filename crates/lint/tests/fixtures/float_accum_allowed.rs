@@ -19,6 +19,15 @@ pub fn non_cycle_loop(values: &[f64]) -> f64 {
     sum
 }
 
+pub fn recycled_loop(recycled: &[u64]) -> f64 {
+    // "recycled" contains "cycle" but is not a cycle-indexed header.
+    let mut acc = 0.0;
+    for _x in recycled {
+        acc += 0.5;
+    }
+    acc
+}
+
 pub fn waived(n_cycles: u64) -> f64 {
     let mut acc = 0.0;
     let mut cycle = 0u64;

@@ -19,3 +19,8 @@ pub fn waived(cycle: u64) -> u32 {
     // tcp-lint: allow(lossy-cycle-cast) — cycle counters in this model fit u32
     cycle as u32
 }
+
+pub fn not_quantities(stage: u64, percentage: u64) -> u32 {
+    // "stage" and "percentage" contain "tag" but are not tag quantities.
+    (stage as u32).wrapping_add(percentage as u32)
+}

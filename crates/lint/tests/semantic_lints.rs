@@ -161,7 +161,7 @@ fn exhaustive_dispatch_allowed_fixture_is_clean() {
 #[test]
 fn discarded_result_fires_on_bad_fixture() {
     let all = analyze_one("discarded_result_bad.rs", "crates/sim/src/flush_fixture.rs");
-    assert_eq!(lines_for(&all, "discarded-result"), vec![9]);
+    assert_eq!(lines_for(&all, "swallowed-error"), vec![9]);
 }
 
 #[test]
@@ -175,7 +175,7 @@ fn discarded_result_allowed_fixture_is_clean() {
 
 #[test]
 fn semantic_passes_skip_test_code() {
-    // The same discarded-result source under a `tests/` path is a test
+    // The same bare-statement source under a `tests/` path is a test
     // binary: dropping a Result in a test is not a finding.
     let all = analyze_one(
         "discarded_result_bad.rs",
@@ -289,6 +289,10 @@ fn alloc_in_hot_loop_fires_on_bad_fixture() {
         "message should spell out the allocation chain: {}",
         via.message
     );
+    // Every finding names the loop by its keyword, not a token index.
+    for f in all.iter().filter(|f| f.lint == "alloc-in-hot-loop") {
+        assert!(f.message.contains("for-loop"), "message: {}", f.message);
+    }
 }
 
 #[test]
@@ -358,10 +362,10 @@ fn unbounded_growth_only_watches_stream_files() {
 #[test]
 fn guard_across_blocking_call_fires_on_bad_fixture() {
     let all = analyze_one("guard_blocking_bad.rs", "crates/sim/src/pool_fixture.rs");
-    assert_eq!(lines_for(&all, "guard-across-blocking-call"), vec![21]);
+    assert_eq!(lines_for(&all, "lock-discipline"), vec![21]);
     let f = all
         .iter()
-        .find(|f| f.lint == "guard-across-blocking-call")
+        .find(|f| f.lint == "lock-discipline")
         .expect("blocking finding");
     assert!(
         f.message.contains("recv"),

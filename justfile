@@ -1,5 +1,5 @@
 # Task runner for the TCP reproduction. Everything below works offline;
-# targets that need crates.io (proptests, benches) say so.
+# the one target that needs crates.io (proptest) says so.
 
 # Build + run the tier-1 test suite (what CI gates on).
 default: test
@@ -90,7 +90,3 @@ figures:
 # Property tests — standalone package, needs crates.io for proptest.
 proptest:
     cargo test --manifest-path proptests/Cargo.toml
-
-# Criterion micro-benchmarks — standalone package, needs crates.io.
-bench:
-    cargo bench --manifest-path crates/bench/Cargo.toml

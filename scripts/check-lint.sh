@@ -9,10 +9,11 @@
 #   scripts/check-lint.sh --inject-check  additionally prove the gate has
 #                                         teeth: temporarily inject one
 #                                         violation per lint family —
-#                                         including a *transitive*
-#                                         panic-reachability chain that
-#                                         crosses a crate boundary — and
-#                                         require tcp-lint to reject each
+#                                         including *transitive* effects
+#                                         (a panic chain that crosses a
+#                                         crate boundary, an allocation
+#                                         two calls deep) — and require
+#                                         tcp-lint to reject each
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,15 +33,14 @@ for arg in "$@"; do
   esac
 done
 
-# Full-workspace analysis (lexing, parsing, symbol table, call graph,
-# CFG construction, interprocedural summaries, and per-function dataflow
-# fixpoints) must stay interactive: the lint gate runs on every push,
-# and a pass that creeps past this budget is a perf regression in the
-# analyzer itself, not a reason to wait longer. The v4 summary pass
-# added whole-workspace work, and the measured run is still ~1s, so the
-# budget ratchets down 30s -> 20s; the per-stage tcp-perf cases
-# (lint_parse / lint_semantic / lint_dataflow) say which stage to blame
-# when this trips.
+# Full-workspace analysis (one pipeline: lexing and parsing each file
+# once, the symbol table and call graph, effect propagation over the
+# call graph's SCCs, and per-function CFG dataflow fixpoints) must stay
+# interactive: the lint gate runs on every push, and a pass that creeps
+# past this budget is a perf regression in the analyzer itself, not a
+# reason to wait longer. The measured run is well under a second; the
+# per-stage tcp-perf cases (lint_parse / lint_semantic / lint_dataflow)
+# say which stage to blame when this trips.
 ANALYSIS_BUDGET_SECS=20
 
 echo "== tcp-lint (workspace) =="
@@ -116,7 +116,7 @@ if [[ "$INJECT_CHECK" == 1 ]]; then
   echo
   echo "== tcp-lint self-check: injected violations must fail the gate =="
 
-  # 1. Lexical family representative: a wall-clock read in a sim crate.
+  # 1. File-local rows, represented by a wall-clock read in a sim crate.
   cat >>"$SIM" <<'EOF'
 
 /// Canary injected by scripts/check-lint.sh --inject-check.
@@ -126,10 +126,10 @@ pub fn lint_canary() -> std::time::Instant {
 EOF
   expect_reject wall-clock-in-sim
 
-  # 2. Transitive panic-reachability: the panic lives in `mem` (outside
-  #    the lexical panic-in-library scope), two calls and one crate
-  #    boundary away from a public `sim` entry point. Only the call
-  #    graph can connect the two.
+  # 2. Transitive panic-reachability: the panic lives in `mem`, two
+  #    calls and one crate boundary away from a public `sim` entry
+  #    point. Only the panic effect propagated over the call graph can
+  #    connect the two.
   cat >>"$MEM" <<'EOF'
 
 /// Canary injected by scripts/check-lint.sh --inject-check.
@@ -178,7 +178,8 @@ pub fn lint_canary_bump(s: &mut LintCanaryStats) {
 EOF
   expect_reject stat-conservation
 
-  # 5. Discarded result: a Result-returning call dropped as a statement.
+  # 5. Swallowed error, bare-statement shape: a Result-returning call
+  #    dropped as a statement.
   cat >>"$SIM" <<'EOF'
 
 /// Canary injected by scripts/check-lint.sh --inject-check.
@@ -190,11 +191,11 @@ pub fn lint_canary_drop() {
     lint_canary_fallible();
 }
 EOF
-  expect_reject discarded-result
+  expect_reject swallowed-error
 
-  # 6. Lock discipline: a guard held across a call into a same-file
-  #    helper that itself locks — the sweep-executor deadlock shape the
-  #    dataflow pass exists to catch.
+  # 6. Lock discipline, lock effect: a guard held across a call into a
+  #    same-file helper that itself locks — the sweep-executor deadlock
+  #    shape.
   cat >>"$SIM" <<'EOF'
 
 /// Canary injected by scripts/check-lint.sh --inject-check.
@@ -250,8 +251,8 @@ EOF
   expect_reject nondet-taint
 
   # 10. Alloc in hot loop, hidden two calls deep: the allocation lives
-  #     in `mem`, behind a same-crate shim, and only the interprocedural
-  #     allocation summaries can carry it back to the cycle loop.
+  #     in `mem`, behind a same-crate shim, and only the propagated
+  #     allocation effect can carry it back to the cycle loop.
   cat >>"$MEM" <<'EOF'
 
 /// Canary injected by scripts/check-lint.sh --inject-check.
@@ -277,8 +278,9 @@ fn lint_canary_alloc_mid(seed: u64) -> u64 {
 EOF
   expect_reject alloc-in-hot-loop
 
-  # 11. Swallowed error: a workspace Result bound to `_`, so the Err
-  #     leg vanishes without a counter bump or a propagation.
+  # 11. Swallowed error, wildcard shape: a workspace Result bound to
+  #     `_`, so the Err leg vanishes without a counter bump or a
+  #     propagation.
   cat >>"$SIM" <<'EOF'
 
 /// Canary injected by scripts/check-lint.sh --inject-check.
@@ -311,8 +313,8 @@ impl LintCanaryStream {
 EOF
   expect_reject unbounded-growth-in-stream
 
-  # 13. Guard across a blocking call: the lock is held while the callee
-  #     summary says the callee parks in a channel recv.
+  # 13. Lock discipline, block effect: the lock is held while the
+  #     callee's effect says it parks in a channel recv.
   cat >>"$SIM" <<'EOF'
 
 /// Canary injected by scripts/check-lint.sh --inject-check.
@@ -333,7 +335,7 @@ impl LintCanaryBlockPool {
     }
 }
 EOF
-  expect_reject guard-across-blocking-call
+  expect_reject lock-discipline
 fi
 
 echo
