@@ -4,7 +4,7 @@
 //! validates its parameters against the same small vocabulary of defects
 //! instead of panicking deep inside the timing model. A [`ConfigError`]
 //! names the offending field and the constraint it violates, so callers
-//! (the suite runner, the experiment harness, a service endpoint) can
+//! (the sweep engine, the experiment harness, a service endpoint) can
 //! reject an impossible machine before spending cycles simulating it.
 
 use std::fmt;

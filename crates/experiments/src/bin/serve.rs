@@ -1,22 +1,18 @@
 //! `tcp-serve` — batch sweep service over the persistent memo store.
 //!
-//! Reads JSON-lines sweep requests from a file (or stdin with `-`), fans
-//! them through the deterministic work-stealing executor, and streams one
-//! JSON result line per request in submission order. Repeated or
-//! previously-simulated requests are served from the store without
-//! re-simulation; malformed requests get an error line instead of killing
-//! the batch.
+//! Reads JSON-lines sweep requests from a file (or stdin with `-`) one
+//! batch at a time, fans each batch through the sweep engine, and streams
+//! one JSON result line per request in submission order. Memory stays
+//! O(batch) however long the input runs, so a long-running client can
+//! feed an unbounded request stream through a pipe — the serving
+//! counterpart of the bounded-memory trace ingestion in
+//! `tcp_sim::stream`. Repeated or previously-simulated requests are
+//! served from the store without re-simulation; malformed requests and
+//! failed jobs get an error line instead of killing the batch.
 //!
 //! ```text
-//! tcp-serve [--store DIR] [--threads N] [--batch N] [--stream] [FILE|-]
+//! tcp-serve [--store DIR] [--threads N] [--batch N] [FILE|-]
 //! ```
-//!
-//! By default the whole request file is read up front. With `--stream`,
-//! requests are pulled from the input incrementally, one batch at a
-//! time, so a long-running client can feed an unbounded request stream
-//! through a pipe and the service's memory stays O(batch) — the serving
-//! counterpart of the bounded-memory trace ingestion in
-//! `tcp_sim::stream`.
 //!
 //! Request lines look like:
 //!
@@ -32,12 +28,12 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tcp_experiments::store::SweepStore;
-use tcp_experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine, SweepError};
+use tcp_experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine};
 use tcp_json::Json;
 use tcp_sim::{RunResult, SystemConfig};
 use tcp_workloads::{suite, Benchmark};
@@ -48,12 +44,11 @@ struct Args {
     store: Option<PathBuf>,
     threads: usize,
     batch: usize,
-    stream: bool,
     input: String,
 }
 
 fn usage() -> String {
-    "usage: tcp-serve [--store DIR] [--threads N] [--batch N] [--stream] [FILE|-]".to_owned()
+    "usage: tcp-serve [--store DIR] [--threads N] [--batch N] [FILE|-]".to_owned()
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -61,7 +56,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         store: None,
         threads: 0,
         batch: CheckpointOpts::default().batch_jobs,
-        stream: false,
         input: "-".to_owned(),
     };
     let mut it = argv.iter();
@@ -87,7 +81,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     return Err("--batch must be at least 1".to_owned());
                 }
             }
-            "--stream" => args.stream = true,
             "--help" | "-h" => return Err(usage()),
             other => {
                 if positional.replace(other.to_owned()).is_some() {
@@ -130,10 +123,18 @@ fn parse_request(line: &str, benches: &BTreeMap<&str, Benchmark>) -> Result<Job,
         None => DEFAULT_OPS,
         Some(j) => {
             let f = j.as_f64().ok_or("\"ops\" must be a number")?;
-            if !(f.is_finite() && f >= 1.0 && f.fract() == 0.0 && f <= u64::MAX as f64) {
+            if !(f.is_finite() && f >= 1.0 && f.fract() == 0.0) {
                 return Err(format!("\"ops\" must be a positive integer, got {f}"));
             }
-            f as u64
+            // Saturates above `u64::MAX`; a run simulates `ops` plus a
+            // half-length warm-up, which must fit too.
+            let ops = f as u64;
+            if ops.checked_add(ops / 2).is_none() {
+                return Err(format!(
+                    "\"ops\" {f} is too large: with its warm-up the run overflows"
+                ));
+            }
+            ops
         }
     };
     Ok(Job::new(bench, ops, &machine, spec))
@@ -161,13 +162,14 @@ fn error_line(index: usize, error: &str) -> String {
     tcp_json::to_string(&Json::Obj(obj))
 }
 
-/// One submission slot: a runnable job or the reason it never became one.
-enum Slot {
-    Job(Box<Job>),
-    Bad(String),
-}
-
 fn serve(args: &Args) -> Result<usize, String> {
+    // Open the input before the store, so a bad path leaves nothing behind.
+    let input: Box<dyn BufRead> = if args.input == "-" {
+        Box::new(BufReader::new(std::io::stdin()))
+    } else {
+        let f = fs::File::open(&args.input).map_err(|e| format!("opening {}: {e}", args.input))?;
+        Box::new(BufReader::new(f))
+    };
     let (store_dir, ephemeral) = match &args.store {
         Some(dir) => (dir.clone(), false),
         None => (
@@ -175,13 +177,31 @@ fn serve(args: &Args) -> Result<usize, String> {
             true,
         ),
     };
-    let mut store = SweepStore::open(&store_dir).map_err(|e| e.to_string())?;
-    eprintln!(
-        "tcp-serve: store {} ({} records{})",
-        store_dir.display(),
-        store.len(),
-        if ephemeral { ", ephemeral" } else { "" },
-    );
+    let served = SweepStore::open(&store_dir)
+        .map_err(|e| e.to_string())
+        .and_then(|mut store| {
+            eprintln!(
+                "tcp-serve: store {} ({} records{})",
+                store_dir.display(),
+                store.len(),
+                if ephemeral { ", ephemeral" } else { "" },
+            );
+            serve_batches(args, input, &mut store)
+        });
+    // The ephemeral store goes on every exit path, errors included.
+    if ephemeral {
+        let _ = fs::remove_dir_all(&store_dir);
+    }
+    served
+}
+
+/// Answers every request in `input`, one batch at a time, and returns
+/// how many requests failed.
+fn serve_batches(
+    args: &Args,
+    input: Box<dyn BufRead>,
+    store: &mut SweepStore,
+) -> Result<usize, String> {
     let loaded = store.stats();
     if loaded.total_quarantined() > 0 {
         eprintln!("tcp-serve: quarantined on load: {}", loaded.summary());
@@ -198,127 +218,58 @@ fn serve(args: &Args) -> Result<usize, String> {
         batch_jobs: args.batch,
         ..CheckpointOpts::default()
     };
-    let single = CheckpointOpts {
-        batch_jobs: 1,
-        ..CheckpointOpts::default()
-    };
 
     let stdout = std::io::stdout();
     let mut failures = 0usize;
     let mut requests = 0usize;
-    let chunk_len = args.batch.max(1);
-
-    // One chunk: fan through the stealing executor, checkpoint the
-    // store, and flush this chunk's lines before the next chunk starts
-    // simulating. `base` is the submission index of the chunk's first
-    // slot, so output indices stay stable in both input modes.
-    let mut emit_chunk =
-        |chunk: &[Slot], base: usize, store: &mut SweepStore| -> Result<(), String> {
-            let jobs: Vec<Job> = chunk
-                .iter()
-                .filter_map(|s| match s {
-                    Slot::Job(j) => Some((**j).clone()),
-                    Slot::Bad(_) => None,
-                })
-                .collect();
-            let outcome = engine.run_with(store, &jobs, &opts);
-            let results: Vec<Result<RunResult, String>> = match outcome {
-                Ok(rs) => rs.into_iter().map(Ok).collect(),
-                // A job in the chunk failed (e.g. wedged past its retries):
-                // rerun one at a time so every job gets its own verdict.
-                Err(SweepError::Store(e)) => return Err(e.to_string()),
-                Err(SweepError::Job { .. }) => jobs
-                    .iter()
-                    .map(|j| {
-                        engine
-                            .run_with(store, std::slice::from_ref(j), &single)
-                            .map(|mut rs| rs.remove(0))
-                            .map_err(|e| e.to_string())
-                    })
-                    .collect(),
-            };
-            let mut next = results.into_iter();
-            // Take the stdout lock only for the write-out, never across a
-            // simulation call (the engine locks its worker deques).
-            let mut out = stdout.lock();
-            for (at, slot) in chunk.iter().enumerate() {
-                let index = base + at;
-                let line = match slot {
-                    Slot::Bad(reason) => {
-                        failures += 1;
-                        error_line(index, reason)
-                    }
-                    Slot::Job(_) => match next.next().expect("one result per job") {
-                        Ok(r) => result_line(index, &r),
-                        Err(reason) => {
-                            failures += 1;
-                            error_line(index, &reason)
-                        }
-                    },
-                };
-                writeln!(out, "{line}").map_err(|e| format!("writing stdout: {e}"))?;
+    let mut lines = input.lines();
+    // Each slot is a runnable job or the reason it never became one.
+    let mut chunk: Vec<Result<Job, String>> = Vec::with_capacity(args.batch);
+    loop {
+        chunk.clear();
+        while chunk.len() < args.batch {
+            match lines.next() {
+                Some(Ok(line)) if line.trim().is_empty() => {}
+                Some(Ok(line)) => chunk.push(parse_request(&line, &benches)),
+                Some(Err(e)) => return Err(format!("reading {}: {e}", args.input)),
+                None => break,
             }
-            out.flush().map_err(|e| format!("flushing stdout: {e}"))
-        };
-
-    if args.stream {
-        // Incremental mode: pull up to one batch of request lines at a
-        // time from the input, so memory stays O(batch) no matter how
-        // long the stream runs (a pipe never has to end).
-        let reader: Box<dyn BufRead> = if args.input == "-" {
-            Box::new(BufReader::new(std::io::stdin()))
-        } else {
-            let f =
-                fs::File::open(&args.input).map_err(|e| format!("opening {}: {e}", args.input))?;
-            Box::new(BufReader::new(f))
-        };
-        let mut lines = reader.lines();
-        let mut chunk: Vec<Slot> = Vec::with_capacity(chunk_len);
-        loop {
-            chunk.clear();
-            while chunk.len() < chunk_len {
-                match lines.next() {
-                    Some(Ok(line)) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        chunk.push(match parse_request(&line, &benches) {
-                            Ok(job) => Slot::Job(Box::new(job)),
-                            Err(reason) => Slot::Bad(reason),
-                        });
-                    }
-                    Some(Err(e)) => return Err(format!("reading {}: {e}", args.input)),
-                    None => break,
-                }
-            }
-            if chunk.is_empty() {
-                break;
-            }
-            emit_chunk(&chunk, requests, &mut store)?;
-            requests += chunk.len();
         }
-    } else {
-        let text = if args.input == "-" {
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("reading stdin: {e}"))?;
-            buf
-        } else {
-            fs::read_to_string(&args.input).map_err(|e| format!("reading {}: {e}", args.input))?
-        };
-        let slots: Vec<Slot> = text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|line| match parse_request(line, &benches) {
-                Ok(job) => Slot::Job(Box::new(job)),
-                Err(reason) => Slot::Bad(reason),
-            })
+        if chunk.is_empty() {
+            break;
+        }
+        // Fan the chunk through the engine, which checkpoints the store,
+        // and flush this chunk's lines before the next chunk starts.
+        let jobs: Vec<Job> = chunk
+            .iter()
+            .filter_map(|s| s.as_ref().ok().cloned())
             .collect();
-        for (ci, chunk) in slots.chunks(chunk_len).enumerate() {
-            emit_chunk(chunk, ci * chunk_len, &mut store)?;
+        let mut verdicts = engine
+            .run_each(Some(store), &jobs, &opts)
+            .map_err(|e| e.to_string())?
+            .into_iter();
+        // Take the stdout lock only for the write-out, never across a
+        // simulation call (the engine locks its worker deques).
+        let mut out = stdout.lock();
+        for (at, slot) in chunk.iter().enumerate() {
+            let verdict = match slot {
+                Ok(_) => verdicts
+                    .next()
+                    .expect("one verdict per job")
+                    .map_err(|e| e.to_string()),
+                Err(reason) => Err(reason.clone()),
+            };
+            let line = match verdict {
+                Ok(r) => result_line(requests + at, &r),
+                Err(reason) => {
+                    failures += 1;
+                    error_line(requests + at, &reason)
+                }
+            };
+            writeln!(out, "{line}").map_err(|e| format!("writing stdout: {e}"))?;
         }
-        requests = slots.len();
+        out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
+        requests += chunk.len();
     }
 
     let stats = engine.stats();
@@ -330,10 +281,6 @@ fn serve(args: &Args) -> Result<usize, String> {
         failures,
     );
     eprintln!("tcp-serve: {}", store.stats().summary());
-    if ephemeral {
-        drop(store);
-        let _ = fs::remove_dir_all(&store_dir);
-    }
     Ok(failures)
 }
 

@@ -55,7 +55,7 @@ fn full_index_bits(bytes: usize) -> u32 {
 }
 
 /// Geometric-mean IPC of one configuration's chunk of suite results,
-/// with the same domain rules as [`tcp_sim::SuiteResult::geomean_ipc`].
+/// defined only for a non-empty chunk of positive, finite IPCs.
 fn geomean_of(runs: &[RunResult]) -> f64 {
     let ipcs: Vec<f64> = runs.iter().map(|r| r.ipc).collect();
     if ipcs.is_empty() || ipcs.iter().any(|&v| !(v > 0.0 && v.is_finite())) {

@@ -1,5 +1,5 @@
-//! The deterministic sweep engine: memoized simulation jobs for the whole
-//! experiment harness.
+//! The deterministic sweep engine: the one runner for batches of
+//! simulation jobs in the whole experiment harness.
 //!
 //! Every figure of the paper boils down to the same primitive — *simulate
 //! benchmark B for N ops on machine M with prefetcher P* — and the
@@ -13,12 +13,36 @@
 //! whole batch at once. The engine deduplicates jobs against a persistent
 //! memo keyed by the job's full identity (benchmark workload spec, op
 //! count, machine configuration, prefetcher configuration), executes only
-//! the missing ones on the work-stealing pool of
-//! [`tcp_sim::sweep::run_jobs_stealing`], and returns results in
+//! the missing ones on a work-stealing pool, and returns results in
 //! submission order. Sharing one engine across figures (as `--bin all`
 //! does) removes roughly half of all simulation work at zero cost in
 //! fidelity: simulations are bit-deterministic, so a memoized result is
 //! indistinguishable from a re-run.
+//!
+//! One executor, [`SweepEngine::run_each`], serves every batch and returns
+//! one verdict per job; [`SweepEngine::run`] and [`SweepEngine::run_with`]
+//! are views over it. Every job runs through one job runner that applies
+//! the watchdog, its relaxing retries, and the only panic boundary, so a
+//! job that panics, wedges, or cannot be configured fails alone.
+//!
+//! # Why work stealing
+//!
+//! Job durations differ by an order of magnitude (a pointer-chasing `mcf`
+//! run costs far more cycles-per-op than `fma3d`, and Figure 13 mixes
+//! 2 KB and 8 MB PHT configurations in one sweep). A shared-counter pool
+//! keeps cores busy but makes every *batch boundary* a barrier. Here each
+//! worker owns a contiguous block of job indices in a deque and steals
+//! from the *tail* of other workers' deques when its own block drains, so
+//! a single large batch keeps all cores busy until the global tail.
+//!
+//! # Why it stays deterministic
+//!
+//! Jobs are pure functions of their index: nothing about scheduling leaks
+//! into a job's inputs, and every result lands in the slot of the index
+//! that produced it. Memo keys live in a `BTreeMap`, so which index of a
+//! duplicated key executes is a pure function of the input. The
+//! determinism suite pins the end-to-end property (identical simulation
+//! results at 1, 2, and 8 workers).
 //!
 //! # Examples
 //!
@@ -39,24 +63,24 @@
 //! assert_eq!(engine.stats().executed, 1); // the duplicate was memoized
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use tcp_baselines::{Dbcp, DbcpConfig};
 use tcp_cache::{NullPrefetcher, Prefetcher};
 use tcp_core::{DbpConfig, HybridTcp, StrideAugmentedTcp, Tcp, TcpConfig};
-use tcp_sim::{run_benchmark, RunError, RunResult, Session, SimError, SystemConfig, Watchdog};
+use tcp_sim::{RunError, RunResult, Session, SimError, SystemConfig, TraceError, Watchdog};
 use tcp_workloads::Benchmark;
 
 use crate::store::{StoreError, SweepStore};
 
 /// A buildable, comparable description of a prefetch engine.
 ///
-/// The suite runners take opaque factory closures; the sweep engine needs
-/// *values* so two jobs wanting the same engine can be recognised as
-/// equal. Every prefetcher the experiment harness uses has a variant
-/// here.
+/// A job holds a *value*, not a factory closure, so two jobs wanting the
+/// same engine can be recognised as equal. Every prefetcher the
+/// experiment harness uses has a variant here.
 #[derive(Clone, Copy, Debug)]
 pub enum PrefetcherSpec {
     /// No prefetching (the baseline machine).
@@ -165,11 +189,12 @@ impl Job {
 pub struct EngineStats {
     /// Simulation results requested (total jobs submitted).
     pub requested: usize,
-    /// Simulations actually executed.
+    /// Simulations actually executed: one per distinct missing key,
+    /// whether it succeeded or failed.
     pub executed: usize,
-    /// Requests served by reading the persistent [`SweepStore`] (only
-    /// [`SweepEngine::run_with`] produces these; one per distinct key
-    /// pulled from disk).
+    /// Requests served by reading the persistent [`SweepStore`] (only a
+    /// batch run with a store produces these; one per distinct key pulled
+    /// from disk).
     pub store_hits: usize,
 }
 
@@ -181,15 +206,16 @@ impl EngineStats {
     }
 }
 
-/// A failure from a store-backed sweep ([`SweepEngine::run_with`]).
+/// A failure from a batch run through [`SweepEngine::run_with`].
 #[derive(Debug)]
 pub enum SweepError {
     /// The persistent store hit an I/O failure (checkpoints could not be
     /// written or the store could not be read).
     Store(StoreError),
-    /// A job failed after exhausting its watchdog retries (first failing
-    /// job in submission order). Completed work in the same batch was
-    /// checkpointed before this surfaced, so a retry resumes from it.
+    /// A job failed: it panicked, its machine was invalid, or it wedged
+    /// past its watchdog retries (the first failing job in submission
+    /// order). Every other job in the batch ran and was checkpointed
+    /// before this surfaced, so a retry resumes from them.
     Job {
         /// Benchmark of the failing job.
         benchmark: String,
@@ -224,7 +250,8 @@ impl From<StoreError> for SweepError {
     }
 }
 
-/// Policy for a store-backed, checkpointed sweep.
+/// Policy for a batch: checkpoint spacing (when a store is given) and the
+/// supervision of each job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointOpts {
     /// Jobs simulated between checkpoints: after each batch of this many
@@ -276,9 +303,14 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine sized to the machine's available parallelism.
+    /// An engine sized to the machine's available parallelism (4 workers
+    /// when that cannot be determined).
     pub fn new() -> Self {
-        SweepEngine::with_threads(tcp_sim::sweep::default_threads())
+        SweepEngine::with_threads(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4),
+        )
     }
 
     /// An engine with an explicit worker count. Results are independent
@@ -297,157 +329,137 @@ impl SweepEngine {
     }
 
     /// Runs a batch of jobs and returns one [`RunResult`] per job, in
-    /// submission order.
-    ///
-    /// Jobs whose key is already memoized (from this batch or any earlier
-    /// one) are served by cloning the stored result; the rest execute on
-    /// the work-stealing pool, each distinct key exactly once.
+    /// submission order: [`SweepEngine::run_each`] without a store.
     ///
     /// # Panics
     ///
-    /// Re-raises the first (in submission order) panic from an executing
-    /// simulation, matching the panicking [`run_benchmark`] contract the
-    /// figure modules rely on.
+    /// Panics with the first (in submission order) failed job's error,
+    /// matching the panicking [`tcp_sim::run_benchmark`] contract the
+    /// figure modules rely on. Every other job still runs first.
     pub fn run(&self, jobs: &[Job]) -> Vec<RunResult> {
-        let keys: Vec<String> = jobs.iter().map(Job::key).collect();
-        // First unmemoized occurrence of each distinct key in this batch.
-        let mut to_run: Vec<usize> = Vec::new();
-        {
-            let memo = lock(&self.memo);
-            let mut fresh: BTreeMap<&str, ()> = BTreeMap::new();
-            for (i, key) in keys.iter().enumerate() {
-                if !memo.contains_key(key) && fresh.insert(key.as_str(), ()).is_none() {
-                    to_run.push(i);
-                }
-            }
-        }
-        // Simulate the missing points without holding the memo lock.
-        let executed = tcp_sim::sweep::run_jobs_stealing(to_run.len(), self.threads, |u| {
-            let job = &jobs[to_run[u]];
-            run_benchmark(
-                &job.benchmark,
-                job.n_ops,
-                &job.machine,
-                job.prefetcher.build(),
-            )
-        });
-        let mut memo = lock(&self.memo);
-        for (&i, result) in to_run.iter().zip(executed) {
-            memo.insert(keys[i].clone(), result);
-        }
-        let out = keys
-            .iter()
-            .map(|key| {
-                memo.get(key)
-                    .cloned()
-                    // tcp-lint: allow(panic-in-library) — documented invariant: the loop above memoized every missing key
-                    .expect("every submitted key was memoized or just executed")
-            })
-            .collect();
-        let mut stats = lock(&self.stats);
-        stats.requested += jobs.len();
-        stats.executed += to_run.len();
-        out
+        let verdicts = self.run_each(None, jobs, &CheckpointOpts::default());
+        // tcp-lint: allow(panic-in-library) — documented panicking contract of the figure modules; `run_with` and `run_each` are the fallible forms
+        all_ok(jobs, verdicts).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs a batch of jobs through the persistent `store`, returning one
-    /// [`RunResult`] per job in submission order.
-    ///
-    /// The lookup order per key is: in-process memo, then the store
-    /// (disk hits are pulled into the memo and counted as
-    /// [`EngineStats::store_hits`]), then simulation. Misses execute on
-    /// the work-stealing pool in batches of
-    /// [`CheckpointOpts::batch_jobs`]; after each batch the new results
-    /// are inserted and the store is **flushed with the crash-safe
-    /// protocol**, so a sweep killed mid-run resumes from the last
-    /// completed batch — bit-identically, because stored results
-    /// round-trip exactly and the simulator is deterministic.
-    ///
-    /// Each job is supervised by the [`Watchdog`] from `opts`; a wedged
-    /// job is retried up to [`CheckpointOpts::max_retries`] times with a
-    /// progressively relaxed cycles-per-op cap before the sweep reports
-    /// [`SweepError::Job`].
+    /// [`RunResult`] per job in submission order:
+    /// [`SweepEngine::run_each`] with the store.
     ///
     /// # Errors
     ///
     /// [`SweepError::Store`] when a checkpoint cannot be written, and
-    /// [`SweepError::Job`] when a job fails after its bounded retries.
-    /// In both cases every batch completed so far (including successes
-    /// in the failing batch) has been flushed to the store.
+    /// [`SweepError::Job`] for the first failed job in submission order.
+    /// Every other job has run and every success has been flushed to the
+    /// store by then, so a retry resumes from them.
     pub fn run_with(
         &self,
         store: &mut SweepStore,
         jobs: &[Job],
         opts: &CheckpointOpts,
     ) -> Result<Vec<RunResult>, SweepError> {
+        all_ok(jobs, self.run_each(Some(store), jobs, opts))
+    }
+
+    /// The one executor: runs a batch of jobs and returns one verdict per
+    /// job, in submission order.
+    ///
+    /// The lookup order per key is: in-process memo, then the `store`
+    /// when one is given (disk hits are pulled into the memo and counted
+    /// as [`EngineStats::store_hits`]), then simulation. The first
+    /// occurrence of each missing key executes on the work-stealing pool;
+    /// later duplicates share its verdict. Successes enter the memo.
+    ///
+    /// With a store, misses run in batches of
+    /// [`CheckpointOpts::batch_jobs`]; after each batch the new results
+    /// are inserted and the store is **flushed with the crash-safe
+    /// protocol**, so a sweep killed mid-run resumes from the last
+    /// completed batch — bit-identically, because stored results
+    /// round-trip exactly and the simulator is deterministic. Without a
+    /// store there is nothing to checkpoint, so every miss fans out as
+    /// one barrier-free batch.
+    ///
+    /// Each job is supervised by the [`Watchdog`] from `opts`; a wedged
+    /// job is retried up to [`CheckpointOpts::max_retries`] times with a
+    /// progressively relaxed cycles-per-op cap. A job that panics
+    /// becomes [`RunError::Panicked`]; no failure stops the batch.
+    ///
+    /// # Errors
+    ///
+    /// The outer [`StoreError`] when a checkpoint cannot be written; the
+    /// batches flushed before it are kept.
+    pub fn run_each(
+        &self,
+        mut store: Option<&mut SweepStore>,
+        jobs: &[Job],
+        opts: &CheckpointOpts,
+    ) -> Result<Vec<Result<RunResult, SimError>>, StoreError> {
         let keys: Vec<String> = jobs.iter().map(Job::key).collect();
+        // The first missing occurrence of each distinct key runs; every
+        // job's slot says where its verdict comes from.
         let mut to_run: Vec<usize> = Vec::new();
+        let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
         let mut store_hits = 0usize;
         {
             let mut memo = lock(&self.memo);
-            let mut fresh: BTreeMap<&str, ()> = BTreeMap::new();
+            let mut fresh: BTreeMap<&str, usize> = BTreeMap::new();
             for (i, key) in keys.iter().enumerate() {
-                if memo.contains_key(key) {
-                    continue;
-                }
-                if let Some(result) = store.get(key) {
+                let slot = if let Some(result) = memo.get(key) {
+                    Slot::Known(Box::new(result.clone()))
+                } else if let Some(result) = store.as_deref().and_then(|s| s.get(key)) {
                     memo.insert(key.clone(), result.clone());
                     store_hits += 1;
-                    continue;
-                }
-                if fresh.insert(key.as_str(), ()).is_none() {
-                    to_run.push(i);
-                }
+                    Slot::Known(Box::new(result.clone()))
+                } else {
+                    Slot::Runs(*fresh.entry(key).or_insert_with(|| {
+                        to_run.push(i);
+                        to_run.len() - 1
+                    }))
+                };
+                slots.push(slot);
             }
         }
-        let mut executed = 0usize;
-        let mut first_failure: Option<SweepError> = None;
-        'batches: for chunk in to_run.chunks(opts.batch_jobs.max(1)) {
-            let outcomes = tcp_sim::sweep::run_jobs_stealing(chunk.len(), self.threads, |u| {
-                run_supervised(&jobs[chunk[u]], opts)
+        // Without a store there is nothing to checkpoint: one batch.
+        let batch = match store {
+            Some(_) => opts.batch_jobs.max(1),
+            None => to_run.len().max(1),
+        };
+        let mut executed: Vec<Result<RunResult, SimError>> = Vec::with_capacity(to_run.len());
+        // Simulate the missing points without holding the memo lock.
+        for chunk in to_run.chunks(batch) {
+            let verdicts = run_jobs_stealing(chunk.len(), self.threads, |u| {
+                run_job(&jobs[chunk[u]], opts)
             });
             let mut memo = lock(&self.memo);
-            for (&i, outcome) in chunk.iter().zip(outcomes) {
-                match outcome {
-                    Ok(result) => {
-                        store.insert(&keys[i], &result);
-                        memo.insert(keys[i].clone(), result);
-                        executed += 1;
+            for (&i, verdict) in chunk.iter().zip(&verdicts) {
+                if let Ok(result) = verdict {
+                    if let Some(store) = store.as_deref_mut() {
+                        store.insert(&keys[i], result);
                     }
-                    Err(reason) => {
-                        if first_failure.is_none() {
-                            first_failure = Some(SweepError::Job {
-                                benchmark: jobs[i].benchmark.name.to_owned(),
-                                reason,
-                            });
-                        }
-                    }
+                    memo.insert(keys[i].clone(), result.clone());
                 }
             }
             drop(memo);
+            executed.extend(verdicts);
             // Checkpoint the batch's successes even when a job failed:
             // graceful degradation means a retry resumes from here.
-            store.flush()?;
-            if first_failure.is_some() {
-                break 'batches;
+            if let Some(store) = store.as_deref_mut() {
+                store.flush()?;
             }
         }
         let mut stats = lock(&self.stats);
         stats.requested += jobs.len();
-        stats.executed += executed;
+        stats.executed += to_run.len();
         stats.store_hits += store_hits;
         drop(stats);
-        if let Some(failure) = first_failure {
-            return Err(failure);
-        }
-        let memo = lock(&self.memo);
-        Ok(keys
-            .iter()
-            .map(|key| {
-                memo.get(key)
-                    .cloned()
-                    // tcp-lint: allow(panic-in-library) — documented invariant: checkpoint batches memoized every missing key
-                    .expect("every submitted key was memoized, stored, or just executed")
+        Ok(slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Known(result) => Ok(*result),
+                Slot::Runs(u) => match &executed[u] {
+                    Ok(result) => Ok(result.clone()),
+                    Err(reason) => Err(repeat(reason)),
+                },
             })
             .collect())
     }
@@ -468,10 +480,57 @@ impl SweepEngine {
     }
 }
 
+/// Where one job's verdict comes from while [`SweepEngine::run_each`]
+/// resolves a batch.
+enum Slot {
+    /// Memoized, or read from the store.
+    Known(Box<RunResult>),
+    /// Shared with the executing job at this position of the run list.
+    Runs(usize),
+}
+
+/// The results of a batch in which every job succeeded, or the first
+/// failure in submission order.
+fn all_ok(
+    jobs: &[Job],
+    verdicts: Result<Vec<Result<RunResult, SimError>>, StoreError>,
+) -> Result<Vec<RunResult>, SweepError> {
+    jobs.iter()
+        .zip(verdicts?)
+        .map(|(job, verdict)| {
+            verdict.map_err(|reason| SweepError::Job {
+                benchmark: job.benchmark.name.to_owned(),
+                reason,
+            })
+        })
+        .collect()
+}
+
+/// Runs one job: the only job runner. It is [`run_supervised`] inside
+/// the engine's only panic boundary, so a panic becomes the job's
+/// [`RunError::Panicked`] verdict.
+fn run_job(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimError> {
+    // AssertUnwindSafe: on panic the per-run core, hierarchy, and
+    // prefetcher are discarded wholesale, so no witness of broken
+    // invariants survives the boundary.
+    catch_unwind(AssertUnwindSafe(|| run_supervised(job, opts))).unwrap_or_else(|payload| {
+        Err(RunError::Panicked {
+            benchmark: job.benchmark.name.to_owned(),
+            reason: panic_reason(payload),
+        }
+        .into())
+    })
+}
+
 /// Runs one job under its watchdog, retrying a wedge up to
 /// `opts.max_retries` times with a relaxed cap. The job runs through the
-/// same [`Session`] as [`run_benchmark`] (with the same half-length
-/// warm-up), so results are interchangeable with [`SweepEngine::run`]'s.
+/// same [`Session`] as [`tcp_sim::run_benchmark`] (with the same
+/// half-length warm-up), so a healthy job's result is bit-identical to a
+/// direct run.
+// Out of line on purpose: inlined into the `catch_unwind` closure, the
+// simulation loop served tcpbench's `serve` batch about 4% slower
+// (2-core machine).
+#[inline(never)]
 fn run_supervised(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimError> {
     let bench = &job.benchmark;
     let warmup = job.n_ops / 2;
@@ -500,9 +559,86 @@ fn run_supervised(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimErro
     }
 }
 
-/// Locks ignoring poisoning: the guarded state (memo map, counters) is
-/// only mutated by infallible inserts and additions, so a panic elsewhere
-/// cannot leave it torn.
+/// Renders a panic payload as text for [`RunError::Panicked`].
+fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
+/// A copy of a failed job's verdict, one per job that shares its key. A
+/// job fails while configuring or running, and those errors clone; it
+/// reads no trace, so a `Trace` error would keep only its message.
+fn repeat(reason: &SimError) -> SimError {
+    match reason {
+        SimError::Config(e) => SimError::Config(e.clone()),
+        SimError::Run(e) => SimError::Run(e.clone()),
+        SimError::Trace(e) => TraceError::Io(std::io::Error::other(e.to_string())).into(),
+    }
+}
+
+/// Pops the next job index for worker `w`: its own deque's head first,
+/// then the tail of the nearest non-empty victim. Returns `None` only
+/// when every deque is empty — no new jobs are ever enqueued mid-run, so
+/// that is a stable termination condition.
+fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
+    if let Some(i) = lock(&queues[w]).pop_front() {
+        return Some(i);
+    }
+    (1..queues.len()).find_map(|k| lock(&queues[(w + k) % queues.len()]).pop_back())
+}
+
+/// Runs jobs `0..n_jobs` on up to `threads` work-stealing workers and
+/// returns `f(0), f(1), …` in index order regardless of which worker ran
+/// what.
+///
+/// Job indices are block-distributed: worker `w` seeds its deque with a
+/// contiguous chunk and only steals (from the tail of another worker's
+/// chunk) once its own is exhausted, so neighbouring jobs — which in the
+/// experiment harness share benchmark state shapes — tend to stay on one
+/// core. The pool has no panic policy of its own: the engine's `f` is
+/// [`run_job`], which turns a panic into that job's verdict.
+fn run_jobs_stealing<T, F>(n_jobs: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = threads.min(n_jobs).max(1);
+    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
+        .map(|w| Mutex::new((n_jobs * w / workers..n_jobs * (w + 1) / workers).collect()))
+        .collect();
+    // Each result goes straight into its index's preallocated slot:
+    // collecting results per worker until the join ran a batch of ~1,100
+    // small jobs 1.6–1.8× slower on a 2-core machine.
+    let mut slots: Vec<Option<T>> = (0..n_jobs).map(|_| None).collect();
+    let slot_cells: Vec<Mutex<&mut Option<T>>> = slots.iter_mut().map(Mutex::new).collect();
+    // The scope joins every worker, and panics if one did.
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let (queues, slot_cells, f) = (&queues, &slot_cells, &f);
+            scope.spawn(move || {
+                while let Some(i) = next_job(queues, w) {
+                    let result = f(i);
+                    **lock(&slot_cells[i]) = Some(result);
+                }
+            });
+        }
+    });
+    drop(slot_cells);
+    slots
+        .into_iter()
+        // tcp-lint: allow(panic-in-library) — every index is popped exactly once and its slot written before scope join
+        .map(|slot| slot.expect("every job processed"))
+        .collect()
+}
+
+/// Locks ignoring poisoning: the guarded state (memo map, counters, job
+/// deques, result slots) is only mutated by infallible inserts,
+/// additions, pops and stores, so a panic elsewhere cannot leave it torn.
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
@@ -512,6 +648,8 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use tcp_sim::run_benchmark;
     use tcp_workloads::suite;
 
     fn picks(names: &[&str]) -> Vec<Benchmark> {
@@ -685,6 +823,95 @@ mod tests {
     }
 
     #[test]
+    fn results_land_in_job_order_at_any_thread_count() {
+        for threads in [1, 2, 3, 8, 31] {
+            let out = run_jobs_stealing(100, threads, |i| i * i);
+            assert_eq!(
+                out,
+                (0..100).map(|i| i * i).collect::<Vec<_>>(),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn skewed_job_sizes_complete_and_preserve_order() {
+        // The first block is far heavier than the rest: with block
+        // distribution, workers 1.. drain their chunks and must steal
+        // from worker 0's tail to finish.
+        let out = run_jobs_stealing(64, 8, |i| {
+            let rounds = if i < 8 { 200_000u64 } else { 100 };
+            (0..rounds).fold(i as u64, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
+        });
+        let reference: Vec<u64> = (0..64)
+            .map(|i| {
+                let rounds = if i < 8 { 200_000u64 } else { 100 };
+                (0..rounds).fold(i as u64, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
+            })
+            .collect();
+        assert_eq!(out, reference);
+    }
+
+    #[test]
+    fn every_job_executes_exactly_once() {
+        let executions = AtomicUsize::new(0);
+        let out = run_jobs_stealing(32, 4, |i| {
+            executions.fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert_eq!(out.len(), 32);
+        assert_eq!(executions.load(Ordering::Relaxed), 32);
+    }
+
+    #[test]
+    fn empty_batch_returns_empty() {
+        let out: Vec<u32> = run_jobs_stealing(0, 4, |_| unreachable!("no jobs"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn first_panic_in_job_order_wins_and_other_jobs_still_run() {
+        // Two detonating jobs among healthy ones: every job still runs,
+        // each failure stays at its own index, and `run` reports the
+        // earlier one.
+        let machine = SystemConfig::table1();
+        let early = tcp_sim::faults::panicking_benchmark();
+        let late = Benchmark {
+            name: "fault-panic-late",
+            ..tcp_sim::faults::panicking_benchmark()
+        };
+        let gzip = &picks(&["gzip"])[0];
+        let jobs: Vec<Job> = [gzip, &early, gzip, &late, gzip]
+            .iter()
+            .zip([5_000, 5_000, 6_000, 5_000, 7_000])
+            .map(|(b, ops)| Job::new(b, ops, &machine, PrefetcherSpec::Null))
+            .collect();
+        let engine = SweepEngine::with_threads(4);
+        let verdicts = engine
+            .run_each(None, &jobs, &CheckpointOpts::default())
+            .expect("no store, no store error");
+        for (i, verdict) in verdicts.iter().enumerate() {
+            match (i, verdict) {
+                (1 | 3, Err(SimError::Run(RunError::Panicked { benchmark, .. }))) => {
+                    assert_eq!(benchmark, jobs[i].benchmark.name);
+                }
+                (0 | 2 | 4, Ok(r)) => assert_eq!(r.ops, jobs[i].n_ops),
+                (i, other) => panic!("job {i}: unexpected {other:?}"),
+            }
+        }
+        let engine = SweepEngine::with_threads(4);
+        let caught = catch_unwind(AssertUnwindSafe(|| engine.run(&jobs)));
+        let payload = caught.expect_err("a job panicked");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains("'fault-panic'") && !msg.contains("fault-panic-late"),
+            "earliest job's failure is reported: {msg}"
+        );
+        assert_eq!(engine.stats().executed, 5, "no job was skipped");
+        assert_eq!(engine.memo_len(), 3, "every healthy job was memoized");
+    }
+
+    #[test]
     fn every_preset_resolves_and_builds() {
         for (name, spec) in PrefetcherSpec::presets() {
             let resolved = PrefetcherSpec::from_name(name).expect(name);
@@ -811,6 +1038,45 @@ mod tests {
             // The healthy job's result survived the failure.
             let store = SweepStore::open(&dir).expect("reopen");
             assert_eq!(store.len(), 1);
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
+
+        #[test]
+        fn panicking_job_fails_alone_and_both_neighbours_are_checkpointed() {
+            let dir = test_dir("panic");
+            let machine = SystemConfig::table1();
+            let healthy = picks(&["gzip", "swim"]);
+            let jobs = vec![
+                Job::new(&healthy[0], 10_000, &machine, PrefetcherSpec::Null),
+                Job::new(
+                    &tcp_sim::faults::panicking_benchmark(),
+                    10_000,
+                    &machine,
+                    PrefetcherSpec::Null,
+                ),
+                Job::new(&healthy[1], 10_000, &machine, PrefetcherSpec::Null),
+            ];
+            let mut store = SweepStore::open(&dir).expect("open");
+            let opts = CheckpointOpts {
+                batch_jobs: 1,
+                ..CheckpointOpts::default()
+            };
+            let err = SweepEngine::with_threads(1)
+                .run_with(&mut store, &jobs, &opts)
+                .expect_err("the panicking job must fail");
+            assert!(
+                matches!(
+                    &err,
+                    SweepError::Job {
+                        benchmark,
+                        reason: SimError::Run(RunError::Panicked { .. }),
+                    } if benchmark == "fault-panic"
+                ),
+                "{err}"
+            );
+            // The job after the failure ran and was checkpointed too.
+            let store = SweepStore::open(&dir).expect("reopen");
+            assert_eq!(store.len(), 2);
             std::fs::remove_dir_all(&dir).expect("cleanup");
         }
 

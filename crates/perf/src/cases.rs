@@ -16,7 +16,7 @@ use tcp_experiments::sweep::{Job, PrefetcherSpec, SweepEngine};
 use tcp_lint::{find_workspace_root, workspace_sources, ParsedWorkspace, SourceFile};
 use tcp_mem::{Addr, MemAccess};
 use tcp_sim::stream::{StreamOpts, TenantMux};
-use tcp_sim::{run_suite_parallel, Session, SystemConfig, Watchdog};
+use tcp_sim::{Session, SystemConfig, Watchdog};
 use tcp_workloads::{suite, Benchmark};
 
 use std::path::Path;
@@ -76,7 +76,7 @@ pub const CASES: &[CaseSpec] = &[
     },
     CaseSpec {
         name: "suite_parallel",
-        about: "run_suite_parallel over all 26 benchmarks with TCP-8K (the full-sweep hot path)",
+        about: "SweepEngine::run over all 26 benchmarks with TCP-8K on a fresh engine (the full-sweep hot path)",
     },
     CaseSpec {
         name: "sweep_memoized",
@@ -397,15 +397,17 @@ fn lint_dataflow(smoke: bool, opts: MeasureOpts) -> CaseResult {
 
 fn suite_parallel(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let n_ops: u64 = if smoke { 8_000 } else { 30_000 };
-    let benches = suite();
     let cfg = SystemConfig::table1();
-    let units = benches.len() as u64 * n_ops;
+    let jobs: Vec<Job> = suite()
+        .iter()
+        .map(|b| Job::new(b, n_ops, &cfg, PrefetcherSpec::Tcp(TcpConfig::tcp_8k())))
+        .collect();
+    let threads = SweepEngine::new().threads();
+    let units = jobs.len() as u64 * n_ops;
+    // A fresh engine per rep, so every rep simulates all 26 points.
     measure("suite_parallel", "uops", units, opts, || {
-        let s = run_suite_parallel(&benches, n_ops, &cfg, || {
-            Box::new(Tcp::new(TcpConfig::tcp_8k())) as Box<dyn Prefetcher + Send>
-        });
-        assert_eq!(s.ok_count(), benches.len(), "all benchmarks must complete");
-        s.runs().map(|r| r.cycles).sum()
+        let results = SweepEngine::with_threads(threads).run(&jobs);
+        results.iter().map(|r| r.cycles).sum()
     })
 }
 

@@ -4,7 +4,7 @@
 //! hardware allows; this crate makes that a measured, gated property
 //! rather than a hope. It times the real hot paths — [`MemoryHierarchy`]
 //! demand accesses, THT/PHT train+lookup, the out-of-order core loop,
-//! trace decode, and a full [`run_suite_parallel`] sweep — with warmup
+//! trace decode, and a full [`SweepEngine`] sweep — with warmup
 //! and repetition, reports median and p90, and emits machine-readable
 //! `BENCH.json` so every commit leaves a perf trajectory behind.
 //!
@@ -14,7 +14,7 @@
 //! runs, which is what the repetition/median machinery is for.
 //!
 //! [`MemoryHierarchy`]: tcp_cache::MemoryHierarchy
-//! [`run_suite_parallel`]: tcp_sim::run_suite_parallel
+//! [`SweepEngine`]: tcp_experiments::sweep::SweepEngine
 //!
 //! # Examples
 //!

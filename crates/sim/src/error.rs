@@ -11,9 +11,10 @@
 //!   run stopped making forward progress, or a derived statistic is
 //!   undefined (zero-IPC baseline).
 //!
-//! The suite runners never propagate these as panics: each benchmark's
-//! failure is recorded as a [`crate::RunOutcome::Failed`] entry so one bad
-//! workload cannot take down a 26-benchmark suite.
+//! The experiment harness's sweep engine never propagates these as
+//! panics from its fallible entry points: each job's failure is that
+//! job's verdict, so one bad workload cannot take down a 26-benchmark
+//! batch.
 
 use std::fmt;
 

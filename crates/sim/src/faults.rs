@@ -3,7 +3,7 @@
 //! Everything here is a deliberately degenerate input — a benchmark that
 //! panics mid-run, a machine that wedges, trace bytes with a lying
 //! header — built so tests (and the `fault_injection` example) can prove
-//! that the suite runners isolate failures instead of aborting, that the
+//! that the sweep engine isolates failures instead of aborting, that the
 //! [`crate::Watchdog`] catches runs with no forward progress, and that
 //! [`tcp_analysis::read_trace`] rejects corruption with typed errors
 //! rather than huge allocations or garbage records.
@@ -21,8 +21,8 @@ use tcp_workloads::{Benchmark, KernelSpec, WorkloadSpec};
 /// The spec has an empty phase list, so the generator's weighted phase
 /// pick divides by a zero total weight and panics deep inside
 /// `tcp-workloads` — a stand-in for any internal invariant violation. The
-/// suite runners must record this as [`crate::RunOutcome::Failed`]
-/// without disturbing the benchmarks around it.
+/// sweep engine must report this job as [`crate::RunError::Panicked`]
+/// without disturbing the jobs around it.
 pub fn panicking_benchmark() -> Benchmark {
     // Built as a literal: `WorkloadSpec::new` rejects an empty phase list
     // up front, and the whole point here is a spec that passes
@@ -44,12 +44,13 @@ pub fn panicking_benchmark() -> Benchmark {
 }
 
 /// A machine configuration that passes [`SystemConfig::validate`] but
-/// makes no meaningful forward progress: a 25-million-cycle memory with a
-/// single MSHR serialises every miss, so cycles-per-committed-op exceeds
-/// any sane watchdog cap within the first checkpoint interval.
+/// makes no meaningful forward progress: a 250-billion-cycle memory with
+/// a single MSHR serialises every miss, so cycles-per-committed-op
+/// exceeds any sane watchdog cap — the sweep engine's relaxed retry caps
+/// included — within the first checkpoint intervals.
 pub fn wedged_config() -> SystemConfig {
     let mut cfg = SystemConfig::table1();
-    cfg.hierarchy.memory_latency = 25_000_000;
+    cfg.hierarchy.memory_latency = 250_000_000_000;
     cfg.hierarchy.l1_mshrs = 1;
     cfg
 }

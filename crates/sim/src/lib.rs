@@ -3,8 +3,8 @@
 //! This crate wires the out-of-order core (`tcp-cpu`), the memory
 //! hierarchy (`tcp-cache`), a prefetch engine (TCP from `tcp-core` or a
 //! baseline from `tcp-baselines`), and a workload (`tcp-workloads`) into
-//! one run, and provides the suite-level driver the experiment harness
-//! uses for Figures 1 and 11–14.
+//! one run. Batches of runs (Figures 1 and 11–14) are the experiment
+//! harness's sweep engine, built on the runners here.
 //!
 //! Every run goes through one driver, [`Session`]: a validated machine, a
 //! stepped core over its hierarchy, the warm-up boundary, and an
@@ -20,12 +20,11 @@
 //! and known-good. The checked tier ([`try_run_benchmark`],
 //! [`try_ipc_improvement`]) returns the same failures — an invalid
 //! machine ([`SystemConfig::validate`]) or a run the [`Watchdog`] found
-//! wedged — as typed [`SimError`]s. The suite runners
-//! ([`run_suite`], [`run_suite_parallel`]) build on the checked tier and
-//! additionally isolate each benchmark behind a panic boundary: a
-//! degenerate workload becomes a [`RunOutcome::Failed`] entry in the
-//! [`SuiteResult`] while the remaining benchmarks complete. The [`faults`]
-//! module provides deliberately broken inputs for exercising all of this.
+//! wedged — as typed [`SimError`]s. The sweep engine's job runner builds
+//! on the checked tier and adds the panic boundary, so a degenerate
+//! workload becomes one failed job's [`RunError::Panicked`] verdict while
+//! the rest of the batch completes. The [`faults`] module provides
+//! deliberately broken inputs for exercising all of this.
 //!
 //! # Examples
 //!
@@ -48,12 +47,10 @@ pub mod faults;
 mod runner;
 mod session;
 pub mod stream;
-pub mod sweep;
 
 pub use config::SystemConfig;
 pub use error::{ConfigError, RunError, SimError, TraceError};
 pub use runner::{
-    ipc_improvement, run_benchmark, run_suite, run_suite_parallel, run_suite_parallel_with_threads,
-    try_ipc_improvement, try_run_benchmark, RunOutcome, RunResult, SuiteResult,
+    ipc_improvement, run_benchmark, try_ipc_improvement, try_run_benchmark, RunResult,
 };
 pub use session::{Session, Watchdog};

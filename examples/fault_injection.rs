@@ -1,68 +1,79 @@
 //! Fault-injection demo: attack the simulator with broken benchmarks,
 //! wedged machines, invalid configurations, and corrupted trace bytes,
-//! and show that every failure surfaces as a structured outcome or typed
+//! and show that every failure surfaces as a per-job verdict or typed
 //! error while healthy work completes.
 //!
 //! Run with: `cargo run --release --example fault_injection`
 
 use tcp_repro::analysis::read_trace;
-use tcp_repro::cache::NullPrefetcher;
+use tcp_repro::experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine};
 use tcp_repro::mem::CacheGeometry;
 use tcp_repro::sim::faults::{
     adversarial_suite, corrupt_trace, healthy_trace_bytes, panicking_benchmark, wedged_config,
     TRACE_FAULTS,
 };
-use tcp_repro::sim::{run_suite_parallel, RunOutcome, SystemConfig};
-use tcp_repro::workloads::suite;
+use tcp_repro::sim::SystemConfig;
+use tcp_repro::workloads::{suite, Benchmark};
 
-fn print_outcomes(title: &str, outcomes: &[RunOutcome]) {
+const OPS: u64 = 40_000;
+
+/// Runs every benchmark on `machine` without a prefetcher through the
+/// sweep engine and prints one verdict per benchmark.
+fn run_and_print(title: &str, benches: &[Benchmark], machine: &SystemConfig) {
     println!("\n== {title} ==");
-    for o in outcomes {
-        match o {
-            RunOutcome::Ok(r) => println!("  ok      {:<22} ipc {:.3}", r.benchmark, r.ipc),
-            RunOutcome::Failed { benchmark, reason } => {
-                println!("  FAILED  {benchmark:<22} {reason}")
+    let jobs: Vec<Job> = benches
+        .iter()
+        .map(|b| Job::new(b, OPS, machine, PrefetcherSpec::Null))
+        .collect();
+    let verdicts = SweepEngine::new()
+        .run_each(None, &jobs, &CheckpointOpts::default())
+        .expect("without a store there is nothing to flush");
+    let mut failed = 0;
+    for (bench, verdict) in benches.iter().zip(&verdicts) {
+        match verdict {
+            Ok(r) => println!("  ok      {:<22} ipc {:.3}", r.benchmark, r.ipc),
+            Err(reason) => {
+                failed += 1;
+                println!("  FAILED  {:<22} {reason}", bench.name)
             }
         }
     }
+    println!("  -> {} ok, {failed} failed", verdicts.len() - failed);
 }
 
 fn main() {
-    const OPS: u64 = 40_000;
     let table1 = SystemConfig::table1();
 
     // 1. A benchmark that panics mid-generation, surrounded by healthy
-    //    ones: the suite completes and records the panic.
+    //    ones: the batch completes and reports the panic as that job's
+    //    verdict.
     let mut benches: Vec<_> = suite().into_iter().take(3).collect();
     benches.insert(1, panicking_benchmark());
-    let s = run_suite_parallel(&benches, OPS, &table1, || Box::new(NullPrefetcher));
-    print_outcomes("panicking benchmark among healthy ones", &s.outcomes);
-    println!(
-        "  -> {} ok, {} failed, healthy geomean IPC {:?}",
-        s.ok_count(),
-        s.failed_count(),
-        s.geomean_ipc()
-    );
+    run_and_print("panicking benchmark among healthy ones", &benches, &table1);
 
     // 2. A machine that validates but makes no forward progress: the
-    //    watchdog aborts each run with a typed error.
+    //    watchdog aborts each run (after the relaxed retries) with a
+    //    typed error.
     let benches: Vec<_> = suite().into_iter().take(2).collect();
-    let s = run_suite_parallel(&benches, OPS, &wedged_config(), || Box::new(NullPrefetcher));
-    print_outcomes("wedged machine (watchdog aborts)", &s.outcomes);
+    run_and_print(
+        "wedged machine (watchdog aborts)",
+        &benches,
+        &wedged_config(),
+    );
 
     // 3. A machine that cannot exist: every benchmark fails fast with the
     //    same configuration error, before any simulation happens.
     let mut broken = SystemConfig::table1();
     broken.hierarchy.l1_mshrs = 0;
-    let s = run_suite_parallel(&benches, OPS, &broken, || Box::new(NullPrefetcher));
-    print_outcomes("invalid configuration (zero MSHRs)", &s.outcomes);
+    run_and_print("invalid configuration (zero MSHRs)", &benches, &broken);
 
     // 4. Adversarial-but-valid miss streams: they stress the hierarchy
     //    and defeat the prefetcher, but they must complete.
-    let s = run_suite_parallel(&adversarial_suite(), OPS, &table1, || {
-        Box::new(NullPrefetcher)
-    });
-    print_outcomes("adversarial workloads (must complete)", &s.outcomes);
+    run_and_print(
+        "adversarial workloads (must complete)",
+        &adversarial_suite(),
+        &table1,
+    );
 
     // 5. Corrupted persisted traces: each loud corruption maps to a
     //    typed TraceError (the lying-count header fails fast without

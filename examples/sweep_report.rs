@@ -20,7 +20,7 @@ fn main() {
     let threads: usize = args
         .next()
         .and_then(|s| s.parse().ok())
-        .unwrap_or_else(tcp_repro::sim::sweep::default_threads);
+        .unwrap_or_else(|| SweepEngine::new().threads());
     let benches: Vec<Benchmark> = suite()
         .into_iter()
         .filter(|b| ["art", "ammp", "swim", "gzip"].contains(&b.name))

@@ -28,6 +28,10 @@ echo "== persistent-store acceptance tests (checkpoint/resume + quarantine) =="
 cargo test --test store_persistence
 
 echo
+echo "== tcp-serve acceptance (error lines, memo/store accounting, exit codes, cleanup) =="
+cargo test -p tcp-experiments --test serve
+
+echo
 echo "== store fault-injection demo (every StoreFault quarantined) =="
 cargo run --release -q --example store_faults
 

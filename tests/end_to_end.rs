@@ -1,9 +1,11 @@
 //! End-to-end integration: workload generation → out-of-order core →
 //! memory hierarchy → prefetcher, across crates.
 
+use tcp_repro::analysis::geometric_mean;
 use tcp_repro::cache::NullPrefetcher;
 use tcp_repro::core::{Tcp, TcpConfig};
-use tcp_repro::sim::{run_benchmark, run_suite, SystemConfig};
+use tcp_repro::experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine};
+use tcp_repro::sim::{run_benchmark, SystemConfig};
 use tcp_repro::workloads::suite;
 
 const OPS: u64 = 100_000;
@@ -83,19 +85,34 @@ fn prefetcher_never_makes_demand_results_unsound() {
 #[test]
 fn suite_runner_is_deterministic_across_invocations() {
     let machine = SystemConfig::table1();
-    let benches: Vec<_> = suite().into_iter().take(4).collect();
-    let a = run_suite(&benches, 50_000, &machine, || {
-        Box::new(Tcp::new(TcpConfig::tcp_8k()))
-    });
-    let b = run_suite(&benches, 50_000, &machine, || {
-        Box::new(Tcp::new(TcpConfig::tcp_8k()))
-    });
-    assert_eq!(a.failed_count(), 0);
-    for (x, y) in a.runs().zip(b.runs()) {
+    let jobs: Vec<Job> = suite()
+        .iter()
+        .take(4)
+        .map(|b| {
+            Job::new(
+                b,
+                50_000,
+                &machine,
+                PrefetcherSpec::Tcp(TcpConfig::tcp_8k()),
+            )
+        })
+        .collect();
+    // Two engines, so the second invocation cannot be served from memo.
+    let run = || {
+        SweepEngine::new()
+            .run_each(None, &jobs, &CheckpointOpts::default())
+            .expect("without a store there is nothing to flush")
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .expect("every job completes")
+    };
+    let (a, b) = (run(), run());
+    for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.cycles, y.cycles, "{}", x.benchmark);
         assert_eq!(x.stats, y.stats, "{}", x.benchmark);
     }
-    assert!(a.geomean_ipc().expect("healthy suite has a geomean") > 0.0);
+    let ipcs: Vec<f64> = a.iter().map(|r| r.ipc).collect();
+    assert!(geometric_mean(&ipcs) > 0.0);
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Acceptance tests for the fault-tolerant simulation layer: deliberately
 //! broken benchmarks, machines, and trace bytes must surface as typed
-//! errors or structured `Failed` outcomes — never as a panic or abort of
-//! the surrounding suite.
+//! errors or per-job verdicts — never as a panic or abort of the
+//! surrounding batch.
 
 use tcp_repro::analysis::{read_trace, TraceError};
 use tcp_repro::cache::NullPrefetcher;
+use tcp_repro::experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine};
 use tcp_repro::mem::CacheGeometry;
 use tcp_repro::sim::faults::{
     adversarial_suite, corrupt_trace, healthy_trace_bytes, panicking_benchmark, wedged_config,
@@ -12,64 +13,101 @@ use tcp_repro::sim::faults::{
 };
 use tcp_repro::sim::stream::{replay_stream, StreamOpts, SyntheticTrace, TenantMux};
 use tcp_repro::sim::{
-    run_suite, run_suite_parallel, try_ipc_improvement, try_run_benchmark, RunError, RunOutcome,
-    SimError, SystemConfig, Watchdog,
+    run_benchmark, try_ipc_improvement, try_run_benchmark, RunError, RunResult, SimError,
+    SystemConfig, Watchdog,
 };
-use tcp_repro::workloads::suite;
+use tcp_repro::workloads::{suite, Benchmark};
 
 const OPS: u64 = 20_000;
+
+/// One verdict per benchmark, in order: each runs on `machine` without a
+/// prefetcher through a fresh sweep engine with `threads` workers.
+fn run_each(
+    benches: &[Benchmark],
+    machine: &SystemConfig,
+    threads: usize,
+) -> Vec<Result<RunResult, SimError>> {
+    let jobs: Vec<Job> = benches
+        .iter()
+        .map(|b| Job::new(b, OPS, machine, PrefetcherSpec::Null))
+        .collect();
+    SweepEngine::with_threads(threads)
+        .run_each(None, &jobs, &CheckpointOpts::default())
+        .expect("without a store there is nothing to flush")
+}
 
 #[test]
 fn panicking_benchmark_does_not_abort_the_parallel_suite() {
     // Healthy benchmarks surround the bomb so both orderings are covered.
     let mut benches: Vec<_> = suite().into_iter().take(2).collect();
     benches.insert(1, panicking_benchmark());
+    let machine = SystemConfig::table1();
 
-    let s = run_suite_parallel(&benches, OPS, &SystemConfig::table1(), || {
-        Box::new(NullPrefetcher)
-    });
-
-    assert_eq!(s.outcomes.len(), 3, "every benchmark gets an outcome");
-    assert_eq!(s.ok_count(), 2, "both healthy benchmarks completed");
-    assert_eq!(s.failed_count(), 1);
-    // Outcomes stay in suite order even around a failure.
-    assert_eq!(s.outcomes[0].benchmark(), "fma3d");
-    assert_eq!(s.outcomes[1].benchmark(), "fault-panic");
-    match &s.outcomes[1] {
-        RunOutcome::Failed {
-            benchmark,
-            reason: SimError::Run(RunError::Panicked { .. }),
-        } => {
-            assert_eq!(benchmark, "fault-panic");
+    for threads in [1, 2, 8] {
+        let verdicts = run_each(&benches, &machine, threads);
+        assert_eq!(
+            verdicts.len(),
+            3,
+            "{threads} threads: every job gets a verdict"
+        );
+        // Verdicts stay in submission order even around a failure.
+        match &verdicts[1] {
+            Err(SimError::Run(RunError::Panicked { benchmark, .. })) => {
+                assert_eq!(benchmark, "fault-panic", "{threads} threads");
+            }
+            other => panic!("{threads} threads: expected a panic verdict, got {other:?}"),
         }
-        other => panic!("expected a structured panic outcome, got {other:?}"),
+        // Both healthy jobs completed, bit-identical to direct runs.
+        for i in [0, 2] {
+            let r = verdicts[i].as_ref().expect("healthy job completes");
+            let direct = run_benchmark(&benches[i], OPS, &machine, Box::new(NullPrefetcher));
+            assert_eq!(r.benchmark, benches[i].name, "{threads} threads");
+            assert_eq!(
+                r.cycles, direct.cycles,
+                "{threads} threads: {}",
+                r.benchmark
+            );
+            assert_eq!(r.ipc.to_bits(), direct.ipc.to_bits(), "{threads} threads");
+            assert_eq!(r.stats, direct.stats, "{threads} threads: {}", r.benchmark);
+            assert!(r.ipc > 0.0, "{threads} threads: {}", r.benchmark);
+        }
+        assert_eq!(
+            verdicts[0].as_ref().map(|r| r.benchmark.as_str()).ok(),
+            Some("fma3d")
+        );
     }
-    // The healthy members still aggregate.
-    assert!(s.geomean_ipc().expect("two healthy runs") > 0.0);
 }
 
 #[test]
 fn sequential_suite_isolates_the_same_panic() {
     let benches = vec![panicking_benchmark(), suite().remove(0)];
-    let s = run_suite(&benches, OPS, &SystemConfig::table1(), || {
-        Box::new(NullPrefetcher)
-    });
-    assert_eq!(s.ok_count(), 1);
-    let (name, err) = s.failures().next().expect("one failure");
-    assert_eq!(name, "fault-panic");
+    let verdicts = run_each(&benches, &SystemConfig::table1(), 1);
+    assert_eq!(verdicts.iter().filter(|v| v.is_ok()).count(), 1);
+    let err = verdicts[0].as_ref().expect_err("the panicking job fails");
+    assert!(
+        matches!(err, SimError::Run(RunError::Panicked { benchmark, .. }) if benchmark == "fault-panic"),
+        "{err}"
+    );
     assert!(err.to_string().contains("panicked"), "{err}");
 }
 
 #[test]
 fn wedged_benchmark_is_aborted_by_the_watchdog_not_the_suite() {
     let benches: Vec<_> = suite().into_iter().take(2).collect();
-    let s = run_suite_parallel(&benches, OPS, &wedged_config(), || Box::new(NullPrefetcher));
-    assert_eq!(s.outcomes.len(), 2);
-    assert_eq!(s.ok_count(), 0, "a wedged machine completes nothing");
-    for (_, err) in s.failures() {
+    let verdicts = run_each(&benches, &wedged_config(), 2);
+    assert_eq!(verdicts.len(), 2);
+    for verdict in &verdicts {
+        // Both default retries ran (cap 10 000 × 16²) and still could not
+        // rescue a wedged machine.
         assert!(
-            matches!(err, SimError::Run(RunError::Wedged { .. })),
-            "expected a watchdog abort, got {err}"
+            matches!(
+                verdict,
+                Err(SimError::Run(RunError::Wedged {
+                    max_cycles_per_op: 2_560_000,
+                    ..
+                }))
+            ),
+            "expected a watchdog abort after retries, got {verdict:?}"
         );
     }
 }
@@ -126,10 +164,10 @@ fn invalid_config_fails_every_benchmark_with_a_typed_error() {
     let mut cfg = SystemConfig::table1();
     cfg.hierarchy.l1_mshrs = 0;
     let benches: Vec<_> = suite().into_iter().take(3).collect();
-    let s = run_suite(&benches, OPS, &cfg, || Box::new(NullPrefetcher));
-    assert_eq!(s.failed_count(), 3);
-    for (_, err) in s.failures() {
-        assert!(matches!(err, SimError::Config(_)), "{err}");
+    let verdicts = run_each(&benches, &cfg, 2);
+    assert_eq!(verdicts.len(), 3);
+    for verdict in &verdicts {
+        assert!(matches!(verdict, Err(SimError::Config(_))), "{verdict:?}");
     }
 
     let err = try_run_benchmark(&suite()[0], OPS, &cfg, Box::new(NullPrefetcher)).unwrap_err();
@@ -139,15 +177,10 @@ fn invalid_config_fails_every_benchmark_with_a_typed_error() {
 #[test]
 fn adversarial_workloads_stress_but_complete() {
     let benches = adversarial_suite();
-    let s = run_suite_parallel(&benches, OPS, &SystemConfig::table1(), || {
-        Box::new(NullPrefetcher)
-    });
-    assert_eq!(
-        s.ok_count(),
-        benches.len(),
-        "adversarial inputs must finish, not wedge"
-    );
-    for r in s.runs() {
+    let verdicts = run_each(&benches, &SystemConfig::table1(), 2);
+    assert_eq!(verdicts.len(), benches.len());
+    for verdict in verdicts {
+        let r = verdict.expect("adversarial inputs must finish, not wedge");
         assert!(
             r.ipc > 0.0 && r.ipc.is_finite(),
             "{}: ipc {}",
