@@ -99,11 +99,6 @@ fn plan() -> Vec<PlannedPoint> {
     points
 }
 
-/// Runs all six sweeps on a fresh engine.
-pub fn run(benches: &[Benchmark], n_ops: u64) -> Vec<AblateSweep> {
-    run_with(&SweepEngine::new(), benches, n_ops)
-}
-
 /// Runs all six sweeps through `engine` as one batch: every
 /// (point × benchmark × {baseline, TCP-8K}) simulation fans out across
 /// the work-stealing pool together — the Table 1 points that repeat
@@ -168,7 +163,7 @@ mod tests {
     #[test]
     fn sweeps_cover_all_knobs_and_points() {
         let benches: Vec<Benchmark> = suite().into_iter().filter(|b| b.name == "art").collect();
-        let sweeps = run(&benches, 60_000);
+        let sweeps = run_with(&SweepEngine::new(), &benches, 60_000);
         assert_eq!(sweeps.len(), 6);
         assert_eq!(sweeps[0].points.len(), 3);
         assert_eq!(sweeps[1].points.len(), 4);
@@ -183,7 +178,7 @@ mod tests {
     #[test]
     fn fewer_mshrs_never_help_the_baseline() {
         let benches: Vec<Benchmark> = suite().into_iter().filter(|b| b.name == "swim").collect();
-        let sweeps = run(&benches, 120_000);
+        let sweeps = run_with(&SweepEngine::new(), &benches, 120_000);
         let mshr = &sweeps[0].points;
         assert!(
             mshr[0].base_ipc <= mshr[2].base_ipc * 1.02,

@@ -1,8 +1,9 @@
 //! Miss-trace characterisation shared by Figures 2–7 and 15.
 //!
 //! One pass over each benchmark's L1 miss stream feeds all five
-//! collectors from `tcp-analysis`; the per-figure binaries then print
-//! the columns corresponding to that figure's axes.
+//! collectors from `tcp-analysis`; each of `all`'s characterisation
+//! selectors (`fig02`–`fig07`, `fig15`) then prints the columns
+//! corresponding to that figure's axes.
 
 use tcp_analysis::{miss_stream, AddressCensus, SequenceCensus, TagCensus, TagSpread};
 use tcp_mem::CacheGeometry;

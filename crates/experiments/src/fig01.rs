@@ -18,11 +18,6 @@ pub struct Fig01Row {
     pub improvement_pct: f64,
 }
 
-/// Runs the Figure 1 limit study over `benchmarks` on a fresh engine.
-pub fn run(benchmarks: &[Benchmark], n_ops: u64) -> Vec<Fig01Row> {
-    run_with(&SweepEngine::new(), benchmarks, n_ops)
-}
-
 /// Runs the limit study through `engine`, sharing its memo — the
 /// no-prefetch Table 1 baselines here are the same simulations Figures
 /// 11 and 14 need.
@@ -83,7 +78,7 @@ mod tests {
             .into_iter()
             .filter(|b| ["fma3d", "mcf"].contains(&b.name))
             .collect();
-        let rows = run(&picks, 120_000);
+        let rows = run_with(&SweepEngine::new(), &picks, 120_000);
         let fma3d = rows.iter().find(|r| r.benchmark == "fma3d").unwrap();
         let mcf = rows.iter().find(|r| r.benchmark == "mcf").unwrap();
         assert!(

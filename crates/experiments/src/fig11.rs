@@ -36,11 +36,6 @@ pub struct Fig11 {
     pub geomean_tcp8m_pct: f64,
 }
 
-/// Runs the Figure 11 comparison on a fresh engine.
-pub fn run(benchmarks: &[Benchmark], n_ops: u64) -> Fig11 {
-    run_with(&SweepEngine::new(), benchmarks, n_ops)
-}
-
 /// Runs the comparison through `engine`, sharing its memo: the baseline
 /// and TCP-8K/8M points here also feed Figures 1, 12, and 14.
 pub fn run_with(engine: &SweepEngine, benchmarks: &[Benchmark], n_ops: u64) -> Fig11 {
@@ -117,7 +112,7 @@ mod tests {
             .into_iter()
             .filter(|b| ["ammp", "art"].contains(&b.name))
             .collect();
-        let fig = run(&picks, 250_000);
+        let fig = run_with(&SweepEngine::new(), &picks, 250_000);
         let ammp = fig.rows.iter().find(|r| r.benchmark == "ammp").unwrap();
         // ammp's chase retraverses within 250k ops; the private PHT learns.
         assert!(

@@ -56,11 +56,6 @@ fn panel(
         .collect()
 }
 
-/// Runs both panels on a fresh engine.
-pub fn run(benchmarks: &[Benchmark], n_ops: u64) -> Fig12 {
-    run_with(&SweepEngine::new(), benchmarks, n_ops)
-}
-
 /// Runs both panels through `engine` — at equal scale the TCP-8K and
 /// TCP-8M points are the very simulations Figure 11 already ran, so a
 /// shared engine serves this whole figure from memo.
@@ -104,7 +99,7 @@ mod tests {
             .into_iter()
             .filter(|b| ["art", "crafty"].contains(&b.name))
             .collect();
-        let fig = run(&picks, 150_000);
+        let fig = run_with(&SweepEngine::new(), &picks, 150_000);
         for r in fig.tcp_8k.iter().chain(&fig.tcp_8m) {
             let originals = r.prefetched_original + r.non_prefetched_original;
             assert!(
@@ -119,7 +114,7 @@ mod tests {
     #[test]
     fn correlated_benchmark_has_high_coverage() {
         let picks: Vec<Benchmark> = suite().into_iter().filter(|b| b.name == "art").collect();
-        let fig = run(&picks, 400_000);
+        let fig = run_with(&SweepEngine::new(), &picks, 400_000);
         let art = &fig.tcp_8k[0];
         assert!(
             art.prefetched_original > 0.3,

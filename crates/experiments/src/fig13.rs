@@ -76,11 +76,6 @@ fn geomean_ipc(benchmarks: &[Benchmark], n_ops: u64, cfg: TcpConfig) -> f64 {
     geomean_of(&SweepEngine::new().run(&jobs))
 }
 
-/// Runs both sweeps on a fresh engine.
-pub fn run(benchmarks: &[Benchmark], n_ops: u64) -> Fig13 {
-    run_with(&SweepEngine::new(), benchmarks, n_ops)
-}
-
 /// Runs both sweeps through `engine` as **one** batch: every PHT
 /// configuration of both panels fans out together, so the work-stealing
 /// pool crosses configuration boundaries without a join barrier per

@@ -18,12 +18,6 @@ pub struct Fig14Row {
     pub hybrid_pct: f64,
 }
 
-/// Runs the Figure 14 comparison on a fresh engine. The hybrid machine
-/// gains the dedicated prefetch bus the paper adds for this study.
-pub fn run(benchmarks: &[Benchmark], n_ops: u64) -> Vec<Fig14Row> {
-    run_with(&SweepEngine::new(), benchmarks, n_ops)
-}
-
 /// Runs the comparison through `engine` — the baseline and TCP-8K points
 /// are shared with Figures 1 and 11 when the engine is.
 pub fn run_with(engine: &SweepEngine, benchmarks: &[Benchmark], n_ops: u64) -> Vec<Fig14Row> {
@@ -88,7 +82,7 @@ mod tests {
     #[test]
     fn hybrid_runs_and_does_not_collapse() {
         let picks: Vec<Benchmark> = suite().into_iter().filter(|b| b.name == "art").collect();
-        let rows = run(&picks, 250_000);
+        let rows = run_with(&SweepEngine::new(), &picks, 250_000);
         let art = &rows[0];
         assert!(
             art.tcp8k_pct > 0.0,

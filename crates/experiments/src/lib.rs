@@ -1,7 +1,7 @@
-//! Experiment harness: one module (and one binary) per table and figure
-//! of "TCP: Tag Correlating Prefetchers" (HPCA 2003).
+//! Experiment harness: one module per table and figure of "TCP: Tag
+//! Correlating Prefetchers" (HPCA 2003), all printed by one binary, `all`.
 //!
-//! | Paper artefact | Module | Binary |
+//! | Paper artefact | Module | `all` selector |
 //! |---|---|---|
 //! | Table 1 (machine config) | [`table1`] | `table1` |
 //! | Figure 1 (ideal-L2 potential) | [`fig01`] | `fig01` |
@@ -15,10 +15,13 @@
 //! | Figure 15 (strided sequences) | [`characterize`] | `fig15` |
 //! | Section 6 extensions (beyond the paper) | [`sec6`] | `sec6` |
 //! | System-parameter ablations (beyond the paper) | [`ablate`] | `ablate` |
+//! | One-benchmark deep dive | [`characterize`], `tcp_sim` | `inspect [BENCH]` |
 //!
-//! Every binary accepts the `TCP_REPRO_OPS` environment variable to set
-//! the simulated micro-ops per benchmark (see [`scale`]); results print
-//! as aligned text tables mirroring the paper's axes and are also written
+//! `all` with no selector runs Table 1 and Figures 1–15 on one shared
+//! [`sweep::SweepEngine`]. The `TCP_REPRO_OPS` environment variable sets
+//! the simulated micro-ops per benchmark (see [`scale`]); `all` exits 2
+//! when it is set but is not a positive integer. Results print as
+//! aligned text tables mirroring the paper's axes and are also written
 //! as CSV under `target/experiments/`.
 
 #![forbid(unsafe_code)]

@@ -1,10 +1,8 @@
 //! Terminal bar charts: the figures of the paper, rendered as text.
 //!
 //! Every figure in the paper is a bar chart over the 26 benchmarks (or a
-//! line over a sweep). [`BarChart`] renders horizontal bars with
-//! optional log scaling — log-scale charts mirror the paper's log-axis
-//! figures (2, 3, 6) — so each `figNN` binary can show the shape at a
-//! glance in addition to the exact table.
+//! line over a sweep). [`BarChart`] renders horizontal bars so a figure
+//! can show the shape at a glance in addition to the exact table.
 
 use std::fmt::Write as _;
 
@@ -26,7 +24,6 @@ use std::fmt::Write as _;
 pub struct BarChart {
     title: String,
     width: usize,
-    log_scale: bool,
     bars: Vec<(String, f64)>,
 }
 
@@ -41,15 +38,8 @@ impl BarChart {
         BarChart {
             title: title.to_owned(),
             width,
-            log_scale: false,
             bars: Vec::new(),
         }
-    }
-
-    /// Switches to log₁₀ bar lengths (for the paper's log-axis figures).
-    pub fn logarithmic(mut self) -> Self {
-        self.log_scale = true;
-        self
     }
 
     /// Appends a labelled value. Negative values render with a `▌`-style
@@ -72,13 +62,7 @@ impl BarChart {
         if v <= 0.0 || max <= 0.0 {
             return 0;
         }
-        let frac = if self.log_scale {
-            // Map [1, max] to (0, 1]; values below 1 get a sliver.
-            (v.max(1.0)).log10() / (max.max(10.0)).log10()
-        } else {
-            v / max
-        };
-        ((frac * self.width as f64).round() as usize).min(self.width)
+        ((v / max * self.width as f64).round() as usize).min(self.width)
     }
 
     /// Renders the chart.
@@ -115,32 +99,6 @@ mod tests {
         assert_eq!(b_line.matches('█').count(), 10);
         let a_line = r.lines().find(|l| l.starts_with('a')).unwrap();
         assert_eq!(a_line.matches('█').count(), 5);
-    }
-
-    #[test]
-    fn log_scale_compresses_large_ratios() {
-        let mut c = BarChart::new("t", 100).logarithmic();
-        c.bar("small", 10.0);
-        c.bar("large", 1000.0);
-        let r = c.render();
-        let small = r
-            .lines()
-            .find(|l| l.starts_with("small"))
-            .unwrap()
-            .matches('█')
-            .count();
-        let large = r
-            .lines()
-            .find(|l| l.starts_with("large"))
-            .unwrap()
-            .matches('█')
-            .count();
-        // Log scale: 10 → 1/3 of 1000's bar, not 1/100.
-        assert!(
-            small * 2 >= large / 2,
-            "log bars should be comparable: {small} vs {large}"
-        );
-        assert!(large > small);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// A rendered experiment table: a title, column headers, and rows.
@@ -122,26 +121,15 @@ impl Table {
         out
     }
 
-    /// Writes the CSV next to other experiment outputs and returns the
-    /// path written.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the directory or writing.
-    pub fn write_csv(&self, name: &str) -> io::Result<PathBuf> {
-        let dir = output_dir();
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, self.to_csv())?;
-        Ok(path)
-    }
-
-    /// [`Self::write_csv`], but reports a failure to stderr instead of
-    /// returning it — for the figure binaries, where one failed write
-    /// must not abort the remaining figures (and silently dropping the
-    /// error would hide a missing CSV).
+    /// Writes the CSV as `<name>.csv` under [`output_dir`], reporting a
+    /// failure to stderr instead of returning it: one failed write must
+    /// not abort the remaining figures, and silently dropping the error
+    /// would hide a missing CSV.
     pub fn save_csv(&self, name: &str) {
-        if let Err(e) = self.write_csv(name) {
+        let dir = output_dir();
+        let written = fs::create_dir_all(&dir)
+            .and_then(|()| fs::write(dir.join(format!("{name}.csv")), self.to_csv()));
+        if let Err(e) = written {
             eprintln!("experiments: failed to write {name}.csv: {e}");
         }
     }

@@ -31,11 +31,6 @@ pub struct Sec6Row {
     pub multi_target_pct: f64,
 }
 
-/// Runs the Section 6 comparison on a fresh engine.
-pub fn run(benchmarks: &[Benchmark], n_ops: u64) -> Vec<Sec6Row> {
-    run_with(&SweepEngine::new(), benchmarks, n_ops)
-}
-
 /// Runs the comparison through `engine`, sharing the no-prefetch baseline
 /// and TCP-8K points with the main figures.
 pub fn run_with(engine: &SweepEngine, benchmarks: &[Benchmark], n_ops: u64) -> Vec<Sec6Row> {
@@ -111,7 +106,7 @@ mod tests {
         // mgrid's column walk is stride-heavy: with only 2 KB of PHT the
         // stride path should not lose to the plain 2 KB TCP.
         let picks: Vec<Benchmark> = suite().into_iter().filter(|b| b.name == "mgrid").collect();
-        let rows = run(&picks, 400_000);
+        let rows = run_with(&SweepEngine::new(), &picks, 400_000);
         let r = &rows[0];
         assert!(
             r.strided2k_pct >= r.tcp2k_pct - 2.0,
@@ -124,7 +119,7 @@ mod tests {
     #[test]
     fn multi_target_runs_and_reports() {
         let picks: Vec<Benchmark> = suite().into_iter().filter(|b| b.name == "art").collect();
-        let rows = run(&picks, 200_000);
+        let rows = run_with(&SweepEngine::new(), &picks, 200_000);
         assert_eq!(rows.len(), 1);
         let text = render(&rows).render();
         assert!(text.contains("art"));

@@ -28,9 +28,9 @@ fn main() {
     println!("subset: art, ammp, swim, gzip — {ops} measured ops each, {threads} worker threads\n");
 
     // The old harness shape: every figure pays for its own simulations.
-    let fresh1 = fig01::run(&benches, ops);
-    let fresh11 = fig11::run(&benches, ops);
-    let fresh14 = fig14::run(&benches, ops);
+    let fresh1 = fig01::run_with(&SweepEngine::new(), &benches, ops);
+    let fresh11 = fig11::run_with(&SweepEngine::new(), &benches, ops);
+    let fresh14 = fig14::run_with(&SweepEngine::new(), &benches, ops);
 
     // The shared engine: recurring points simulate once.
     let engine = SweepEngine::with_threads(threads);

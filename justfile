@@ -83,9 +83,9 @@ demo-serve:
         '{"benchmark":"ammp","ops":50000,"prefetcher":"dbcp-2m"}' \
         | cargo run --release -p tcp-experiments --bin tcp-serve -- -
 
-# Regenerate every table and figure.
-figures:
-    cargo run --release -p tcp-experiments --bin all
+# Regenerate every table and figure, or one artefact: `just figures fig11`.
+figures *selector:
+    cargo run --release -p tcp-experiments --bin all -- {{selector}}
 
 # Property tests — standalone package, needs crates.io for proptest.
 proptest:

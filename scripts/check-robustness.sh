@@ -32,6 +32,10 @@ echo "== tcp-serve acceptance (error lines, memo/store accounting, exit codes, c
 cargo test -p tcp-experiments --test serve
 
 echo
+echo "== all acceptance (selector output and CSV, usage and TCP_REPRO_OPS errors) =="
+cargo test -p tcp-experiments --test all
+
+echo
 echo "== store fault-injection demo (every StoreFault quarantined) =="
 cargo run --release -q --example store_faults
 

@@ -25,9 +25,9 @@ fn picks(names: &[&str]) -> Vec<Benchmark> {
 #[test]
 fn shared_engine_is_bit_identical_to_fresh_engines() {
     let benches = picks(&["art", "swim"]);
-    let fresh1 = fig01::run(&benches, N_OPS);
-    let fresh11 = fig11::run(&benches, N_OPS);
-    let fresh14 = fig14::run(&benches, N_OPS);
+    let fresh1 = fig01::run_with(&SweepEngine::new(), &benches, N_OPS);
+    let fresh11 = fig11::run_with(&SweepEngine::new(), &benches, N_OPS);
+    let fresh14 = fig14::run_with(&SweepEngine::new(), &benches, N_OPS);
 
     let engine = SweepEngine::new();
     let shared1 = fig01::run_with(&engine, &benches, N_OPS);
