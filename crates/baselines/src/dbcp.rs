@@ -91,14 +91,10 @@ impl Dbcp {
     ///
     /// Panics if the table budget is smaller than one entry.
     pub fn new(cfg: DbcpConfig) -> Self {
-        let entries = (cfg.table_bytes / ENTRY_BYTES).next_power_of_two() / 2;
-        let entries = entries.max(1) * 2; // round to the nearest power of two ≥ budget/8
-        let entries = if entries * ENTRY_BYTES > cfg.table_bytes {
-            entries / 2
-        } else {
-            entries
-        };
-        assert!(entries >= 1, "DBCP table budget too small");
+        let budget = cfg.table_bytes / ENTRY_BYTES;
+        assert!(budget >= 1, "DBCP table budget too small");
+        // The largest power of two that fits the budget.
+        let entries = 1 << budget.ilog2();
         let name = if cfg.table_bytes >= 1024 * 1024 {
             format!("DBCP-{}M", cfg.table_bytes / (1024 * 1024))
         } else {
@@ -326,6 +322,15 @@ mod tests {
         });
         assert_eq!(p.storage_bytes(), 64 * 1024);
         assert_eq!(p.name(), "DBCP-64K");
+    }
+
+    #[test]
+    #[should_panic(expected = "budget too small")]
+    fn budget_below_one_entry_rejected() {
+        let _ = Dbcp::new(DbcpConfig {
+            table_bytes: 4,
+            ..DbcpConfig::dbcp_2m()
+        });
     }
 
     #[test]

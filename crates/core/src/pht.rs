@@ -13,6 +13,12 @@
 //! (TCP-8M). Within the indexed PHT set, the entry whose `tag` field
 //! matches the most recent tag of the sequence supplies `tag′`, the
 //! predicted successor.
+//!
+//! The modelled table is `sets × assoc` entries, but host memory holds
+//! only the sets a run has trained: a per-set directory maps each set to
+//! its row in the entry planes, and a set's first train appends that row.
+//! A TCP-8M job therefore allocates 4 B of directory per set plus one row
+//! per set it trains, not the whole 8 MB model.
 
 use crate::truncated_sum;
 use tcp_cache::kernels;
@@ -118,6 +124,13 @@ impl PhtConfig {
 /// contiguous `last_use` row — the same kernels the simulator's caches
 /// use (see DESIGN.md §12).
 ///
+/// The planes hold materialized rows only. A zeroed per-set directory
+/// (`dir`) stores each set's row number plus one, 0 meaning the set was
+/// never trained; `train` appends a set's row on first use, in
+/// first-train order. A lookup in a never-trained set misses without
+/// allocating. Predictions, counters, [`occupancy`](Self::occupancy) and
+/// [`size_bytes`](Self::size_bytes) are those of the full modelled table.
+///
 /// # Examples
 ///
 /// ```
@@ -133,10 +146,13 @@ impl PhtConfig {
 #[derive(Clone, Debug)]
 pub struct PatternHistoryTable {
     cfg: PhtConfig,
-    /// Truncated entry tag per way (row-major, `sets × assoc`). Only
+    /// Per-set directory: the set's row in the planes below plus one, or
+    /// 0 while the set has never been trained.
+    dir: Vec<u32>,
+    /// Truncated entry tag per way (row-major, `rows × assoc`). Only
     /// ways whose `valid` bit is set hold a meaningful value.
     tags: Vec<u64>,
-    /// Per-set occupancy bitmask (bit `w` = way `w` holds an entry).
+    /// Per-row occupancy bitmask (bit `w` = way `w` holds an entry).
     valid: Vec<u64>,
     /// LRU stamp per way.
     last_use: Vec<u64>,
@@ -179,14 +195,14 @@ impl PatternHistoryTable {
             "tag width out of range"
         );
         assert!(cfg.targets >= 1, "entries must store at least one target");
-        let ways = cfg.sets as usize * cfg.assoc as usize;
         PatternHistoryTable {
             cfg,
-            tags: vec![0; ways],
-            valid: vec![0; cfg.sets as usize],
-            last_use: vec![0; ways],
-            n_targets: vec![0; ways],
-            targets: vec![Tag::default(); ways * cfg.targets as usize],
+            dir: vec![0; cfg.sets as usize],
+            tags: Vec::new(),
+            valid: Vec::new(),
+            last_use: Vec::new(),
+            n_targets: Vec::new(),
+            targets: Vec::new(),
             order: 0,
             trains: 0,
             lookups: 0,
@@ -223,6 +239,28 @@ impl PatternHistoryTable {
         idx as usize
     }
 
+    /// The row of `set` in the planes, if the set has been trained.
+    fn row(&self, set: usize) -> Option<usize> {
+        (self.dir[set] as usize).checked_sub(1)
+    }
+
+    /// Appends an empty row for `set` to every plane and records it in
+    /// the directory.
+    fn materialize(&mut self, set: usize) -> usize {
+        let row = self.valid.len();
+        let ways = (row + 1) * self.cfg.assoc as usize;
+        self.valid.push(0);
+        self.tags.resize(ways, 0);
+        self.last_use.resize(ways, 0);
+        self.n_targets.resize(ways, 0);
+        self.targets
+            .resize(ways * self.cfg.targets as usize, Tag::default());
+        // Rows never outnumber sets, and `sets` is a power-of-two `u32`,
+        // so `row + 1` fits the directory entry.
+        self.dir[set] = row as u32 + 1;
+        row
+    }
+
     fn entry_tag(&self, seq: &[Tag]) -> Tag {
         seq.last()
             .copied()
@@ -236,12 +274,16 @@ impl PatternHistoryTable {
         self.trains += 1;
         self.order += 1;
         let set = self.index(seq, miss_index);
+        let row = match self.row(set) {
+            Some(row) => row,
+            None => self.materialize(set),
+        };
         let etag = self.entry_tag(seq);
         let next = next.truncate(self.cfg.tag_bits);
         let assoc = self.cfg.assoc as usize;
-        let base = set * assoc;
+        let base = row * assoc;
         let max_targets = self.cfg.targets as usize;
-        let vm = self.valid[set];
+        let vm = self.valid[row];
         // Existing entry for this sequence tag?
         if let Some(w) = kernels::find_tag(&self.tags[base..base + assoc], vm, etag.raw()) {
             let way = base + w;
@@ -273,7 +315,7 @@ impl PatternHistoryTable {
         };
         let way = base + w;
         self.tags[way] = etag.raw();
-        self.valid[set] = vm | 1 << w;
+        self.valid[row] = vm | 1 << w;
         self.last_use[way] = self.order;
         self.n_targets[way] = 1;
         let slot = way * max_targets;
@@ -300,27 +342,29 @@ impl PatternHistoryTable {
     }
 
     /// One lookup's bookkeeping: counts it, finds the matching way, and
-    /// refreshes its LRU stamp and the hit counter on a match. Every
-    /// trained entry has at least one live target, so a returned way
-    /// always has a valid front-of-row prediction.
+    /// refreshes its LRU stamp and the hit counter on a match. A
+    /// never-trained set has no row and misses. Every trained entry has
+    /// at least one live target, so a returned way always has a valid
+    /// front-of-row prediction.
     fn find_and_touch(&mut self, seq: &[Tag], miss_index: SetIndex) -> Option<usize> {
         self.lookups += 1;
         self.order += 1;
-        let set = self.index(seq, miss_index);
+        let row = self.row(self.index(seq, miss_index))?;
         let etag = self.entry_tag(seq);
         let assoc = self.cfg.assoc as usize;
-        let base = set * assoc;
-        let w = kernels::find_tag(&self.tags[base..base + assoc], self.valid[set], etag.raw())?;
+        let base = row * assoc;
+        let w = kernels::find_tag(&self.tags[base..base + assoc], self.valid[row], etag.raw())?;
         let way = base + w;
         self.last_use[way] = self.order;
         self.hits += 1;
         Some(way)
     }
 
-    /// Fraction of occupied entries (table utilisation).
+    /// Fraction of occupied entries (table utilisation) over the full
+    /// modelled table, trained or not.
     pub fn occupancy(&self) -> f64 {
         let used: u32 = self.valid.iter().map(|m| m.count_ones()).sum();
-        used as f64 / self.tags.len() as f64
+        used as f64 / (self.dir.len() * self.cfg.assoc as usize) as f64
     }
 }
 
@@ -444,6 +488,59 @@ mod tests {
             pht.train(&[t(i), t(i + 1)], t(i + 2), s(0));
         }
         assert!(pht.occupancy() > 0.1);
+    }
+
+    #[test]
+    fn training_materializes_one_row_per_trained_set() {
+        let mut pht = PatternHistoryTable::new(PhtConfig::pht_8m());
+        for k in 0..40u32 {
+            // Distinct miss indices select distinct sets of the 8 MB PHT.
+            pht.train(&[t(5), t(6)], t(7), s(k));
+            pht.train(&[t(5), t(6)], t(8), s(k));
+        }
+        assert_eq!(pht.valid.len(), 40);
+        assert_eq!(pht.tags.len(), 40 * 8);
+        assert_eq!(pht.targets.len(), 40 * 8);
+    }
+
+    #[test]
+    fn lookup_in_untrained_set_misses_and_materializes_nothing() {
+        let mut pht = PatternHistoryTable::new(PhtConfig::pht_8m());
+        let seq = [t(5), t(6)];
+        let mut out = Vec::new();
+        assert_eq!(pht.lookup(&seq, s(3)), None);
+        pht.lookup_targets(&seq, s(3), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(pht.counters(), (0, 2, 0));
+        assert!(pht.valid.is_empty() && pht.tags.is_empty());
+        // The two misses still advanced the LRU clock.
+        pht.train(&seq, t(7), s(3));
+        assert_eq!(pht.last_use[0], 3);
+    }
+
+    #[test]
+    fn occupancy_counts_the_full_modelled_table() {
+        let mut pht = PatternHistoryTable::new(PhtConfig::pht_8m());
+        pht.train(&[t(5), t(6)], t(7), s(3));
+        assert_eq!(pht.occupancy(), 1.0 / (262_144.0 * 8.0));
+        assert_eq!(pht.size_bytes(), 8 * 1024 * 1024);
+    }
+
+    #[test]
+    fn clone_of_partly_trained_table_predicts_identically() {
+        let mut pht = PatternHistoryTable::new(PhtConfig::pht_8m());
+        for i in 0..200u64 {
+            pht.train(&[t(i % 7), t(i % 5)], t(i % 11), s((i % 13) as u32));
+        }
+        let mut copy = pht.clone();
+        for i in 0..400u64 {
+            let (seq, set) = ([t(i % 9), t(i % 5)], s((i % 17) as u32));
+            assert_eq!(pht.lookup(&seq, set), copy.lookup(&seq, set), "step {i}");
+            pht.train(&seq, t(i % 3), set);
+            copy.train(&seq, t(i % 3), set);
+        }
+        assert_eq!(pht.counters(), copy.counters());
+        assert_eq!(pht.occupancy(), copy.occupancy());
     }
 
     #[test]

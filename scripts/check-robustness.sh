@@ -44,6 +44,10 @@ echo "== chunked-kernel equivalence suite (chunked vs scalar reference) =="
 cargo test -p tcp-cache --test kernel_equivalence
 
 echo
+echo "== PHT differential suite (PatternHistoryTable vs naive reference PHT) =="
+cargo test -p tcp-core --test pht_reference
+
+echo
 echo "== streaming-engine acceptance (bit-identity, tenant isolation,"
 echo "   bounded-memory run over a synthetic trace >= 4x ring capacity) =="
 cargo test --test stream_engine

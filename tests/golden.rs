@@ -4,6 +4,7 @@
 //! update them only deliberately, alongside re-validating EXPERIMENTS.md.
 
 use tcp_repro::cache::NullPrefetcher;
+use tcp_repro::core::{Tcp, TcpConfig};
 use tcp_repro::experiments::characterize::characterize;
 use tcp_repro::sim::{run_benchmark, SystemConfig};
 use tcp_repro::workloads::suite;
@@ -42,5 +43,52 @@ fn timing_matches_golden_values() {
         );
         assert_eq!(r.cycles, cycles, "{name}: cycle count drifted");
         assert_eq!(r.stats.l1_misses, l1miss, "{name}: L1 miss count drifted");
+    }
+}
+
+/// (benchmark, TCP variant, cycles, L2 demand misses, prefetches issued,
+/// prefetched original L2 accesses) at 300k ops — long enough for
+/// TCP-8M's per-set history to start predicting on `ammp`.
+const TCP_GOLDEN: &[(&str, &str, u64, u64, u64, u64)] = &[
+    ("art", "TCP-8K", 177528, 3087, 12366, 6192),
+    ("art", "TCP-8M", 219536, 9279, 0, 0),
+    ("art", "TCP-2K", 177528, 3087, 12366, 6192),
+    ("mcf", "TCP-8K", 6828805, 86627, 3502, 273),
+    ("mcf", "TCP-8M", 6823116, 86872, 75, 7),
+    ("mcf", "TCP-2K", 6827937, 86618, 3412, 281),
+    ("ammp", "TCP-8K", 4358832, 50470, 14010, 5674),
+    ("ammp", "TCP-8M", 2130729, 20320, 40158, 35805),
+    ("ammp", "TCP-2K", 4536119, 52901, 7461, 3203),
+];
+
+#[test]
+fn tcp_timing_matches_golden_values() {
+    for &(name, variant, cycles, l2_misses, issued, prefetched) in TCP_GOLDEN {
+        let cfg = match variant {
+            "TCP-8K" => TcpConfig::tcp_8k(),
+            "TCP-8M" => TcpConfig::tcp_8m(),
+            _ => TcpConfig::with_pht_bytes(2 * 1024, 0),
+        };
+        assert_eq!(cfg.display_name(), variant);
+        let b = suite().into_iter().find(|b| b.name == name).unwrap();
+        let r = run_benchmark(
+            &b,
+            300_000,
+            &SystemConfig::table1(),
+            Box::new(Tcp::new(cfg)),
+        );
+        let s = &r.stats;
+        let got = (
+            r.cycles,
+            s.l2_demand_misses,
+            s.prefetches_issued,
+            s.l2_breakdown.prefetched_original,
+        );
+        assert_eq!(
+            got,
+            (cycles, l2_misses, issued, prefetched),
+            "{name} {variant}: (cycles, L2 demand misses, prefetches issued, \
+             prefetched original) drifted"
+        );
     }
 }
