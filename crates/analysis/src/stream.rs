@@ -23,7 +23,6 @@ pub struct MissRecord {
 pub struct MissStream<I> {
     cache: Cache,
     accesses: I,
-    clock: u64,
 }
 
 impl<I: Iterator<Item = MemAccess>> Iterator for MissStream<I> {
@@ -32,13 +31,12 @@ impl<I: Iterator<Item = MemAccess>> Iterator for MissStream<I> {
     fn next(&mut self) -> Option<MissRecord> {
         loop {
             let acc = self.accesses.next()?;
-            self.clock += 1;
             let geom = *self.cache.geometry();
             let line = geom.line_addr(acc.addr);
-            match self.cache.access(line, acc.kind.is_store(), self.clock) {
+            match self.cache.access(line, acc.kind.is_store()) {
                 AccessOutcome::Hit { .. } => continue,
                 AccessOutcome::Miss => {
-                    self.cache.fill(line, self.clock, false);
+                    self.cache.fill(line, false);
                     let (tag, set) = geom.split_line(line);
                     return Some(MissRecord {
                         addr: acc.addr,
@@ -78,7 +76,6 @@ where
     MissStream {
         cache: Cache::new(geom, Replacement::Lru),
         accesses: accesses.into_iter(),
-        clock: 0,
     }
 }
 

@@ -7,10 +7,13 @@
 //! The storage is struct-of-arrays: each set's way tags sit in one
 //! contiguous `u64` row probed by the chunked [`kernels::find_tag`]
 //! kernel, occupancy is one bitmask per set (empty-way selection is a
-//! single `trailing_zeros`), and the flag/stamp planes are separate
-//! parallel arrays so a probe touches only the bytes it needs. The fill
-//! path is one fused probe → empty-way → victim-select pass over those
-//! rows. [`LineMeta`] remains the external view, assembled on demand.
+//! single `trailing_zeros`), and the flag byte and the two recency-order
+//! stamp planes are separate parallel arrays so a probe touches only the
+//! bytes it needs. The cache keeps no cycle stamps: timing lives in the
+//! hierarchy's in-flight fills, and replacement needs only the order
+//! stamps. The fill path is one fused probe → empty-way → victim-select
+//! pass over those rows. [`LineMeta`] remains the external view,
+//! assembled on demand.
 
 use crate::{kernels, Replacement};
 use tcp_mem::{CacheGeometry, LineAddr, SetIndex, Tag};
@@ -30,10 +33,6 @@ pub struct LineMeta {
     pub fill_order: u64,
     /// Monotonic order stamp of the last access (for LRU).
     pub last_access_order: u64,
-    /// Cycle at which the line was filled.
-    pub fill_cycle: u64,
-    /// Cycle of the most recent access.
-    pub last_access_cycle: u64,
 }
 
 /// A line pushed out of the cache by a fill.
@@ -71,10 +70,10 @@ const FLAG_DEMANDED: u8 = 1 << 2;
 /// all planes starting at offset 0 a given set's row would land at the
 /// *same offset modulo 4 KB* in every plane — i.e. in the same
 /// associativity set of the host CPU's L1 cache. A workload hammering
-/// one simulated set would then thrash one host cache set with six
-/// conflicting lines. Shifting each plane by a different whole cache
-/// line (multiples of 8 × `u64`) spreads the planes' rows across host
-/// sets. `OFF` is a const generic so the offset folds into the
+/// one simulated set would then pile the tag row and both stamp rows
+/// into one host cache set. Shifting each plane by a different whole
+/// cache line (0, 8 and 16 × `u64`) spreads the planes' rows across
+/// host sets. `OFF` is a const generic so the offset folds into the
 /// addressing arithmetic at compile time.
 #[derive(Clone, Debug)]
 struct Plane<const OFF: usize>(Vec<u64>);
@@ -113,7 +112,7 @@ impl<const OFF: usize> Plane<OFF> {
 /// let mut c = Cache::new(geom, Replacement::Lru);
 /// let line = geom.line_addr(Addr::new(0x1000));
 /// assert!(!c.contains(line));
-/// c.fill(line, 0, false);
+/// c.fill(line, false);
 /// assert!(c.contains(line));
 /// ```
 #[derive(Clone, Debug)]
@@ -123,15 +122,14 @@ pub struct Cache {
     assoc: usize,
     // Struct-of-arrays way storage, row-major by set: `tags` holds each
     // set's way tags contiguously, `valid` one occupancy bitmask per set,
-    // and the flag/stamp planes are parallel to `tags` (each at its own
-    // host-cache-line stagger; see [`Plane`]).
+    // and the flag bytes and order-stamp planes are parallel to `tags`
+    // (the planes each at its own host-cache-line stagger; see
+    // [`Plane`]).
     tags: Plane<0>,
     valid: Vec<u64>,
     flags: Vec<u8>,
     fill_order: Plane<8>,
     last_order: Plane<16>,
-    fill_cycle: Plane<24>,
-    last_cycle: Plane<32>,
     order: u64,
     occupied: u64,
     // Probe memo: the line most recently *missed* by [`Cache::access`]
@@ -169,8 +167,6 @@ impl Cache {
             flags: vec![0; n],
             fill_order: Plane::new(n),
             last_order: Plane::new(n),
-            fill_cycle: Plane::new(n),
-            last_cycle: Plane::new(n),
             order: 0,
             occupied: 0,
             missed_line: 0,
@@ -219,8 +215,6 @@ impl Cache {
             demanded: f & FLAG_DEMANDED != 0,
             fill_order: self.fill_order.at(i),
             last_access_order: self.last_order.at(i),
-            fill_cycle: self.fill_cycle.at(i),
-            last_access_cycle: self.last_cycle.at(i),
         }
     }
 
@@ -241,7 +235,7 @@ impl Cache {
     /// On a hit, the line's recency and dirty state are updated and the
     /// prefetch-credit event is reported. On a miss nothing changes: the
     /// caller decides when the fill lands (after the memory round trip).
-    pub fn access(&mut self, line: LineAddr, write: bool, cycle: u64) -> AccessOutcome {
+    pub fn access(&mut self, line: LineAddr, write: bool) -> AccessOutcome {
         let (tag, set) = self.geom.split_line(line);
         let s = set.as_usize();
         let base = s * self.assoc;
@@ -253,7 +247,6 @@ impl Cache {
                 let first = f & (FLAG_PREFETCHED | FLAG_DEMANDED) == FLAG_PREFETCHED;
                 self.flags[i] = f | FLAG_DEMANDED | if write { FLAG_DIRTY } else { 0 };
                 self.last_order.set(i, self.order);
-                self.last_cycle.set(i, cycle);
                 AccessOutcome::Hit {
                     first_demand_of_prefetch: first,
                 }
@@ -276,7 +269,7 @@ impl Cache {
     /// over the set's contiguous tag row answers residency, the occupancy
     /// bitmask yields the lowest empty way without a second scan, and the
     /// victim (when the set is full) comes from the stamp rows in place.
-    pub fn fill(&mut self, line: LineAddr, cycle: u64, prefetched: bool) -> Option<Evicted> {
+    pub fn fill(&mut self, line: LineAddr, prefetched: bool) -> Option<Evicted> {
         let (tag, set) = self.geom.split_line(line);
         self.order += 1;
         let s = set.as_usize();
@@ -290,7 +283,6 @@ impl Cache {
             if let Some(w) = kernels::find_tag(self.tags.row(base, self.assoc), vm, tag.raw()) {
                 let i = base + w;
                 self.last_order.set(i, self.order);
-                self.last_cycle.set(i, cycle);
                 return None;
             }
         }
@@ -320,8 +312,6 @@ impl Cache {
         self.flags[i] = if prefetched { FLAG_PREFETCHED } else { 0 };
         self.fill_order.set(i, self.order);
         self.last_order.set(i, self.order);
-        self.fill_cycle.set(i, cycle);
-        self.last_cycle.set(i, cycle);
         evicted
     }
 
@@ -403,12 +393,9 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = dm_l1();
         let line = c.geometry().line_addr(Addr::new(0x1000));
-        assert_eq!(c.access(line, false, 0), AccessOutcome::Miss);
-        assert!(c.fill(line, 1, false).is_none());
-        assert!(matches!(
-            c.access(line, false, 2),
-            AccessOutcome::Hit { .. }
-        ));
+        assert_eq!(c.access(line, false), AccessOutcome::Miss);
+        assert!(c.fill(line, false).is_none());
+        assert!(matches!(c.access(line, false), AccessOutcome::Hit { .. }));
         assert_eq!(c.occupied_lines(), 1);
     }
 
@@ -417,8 +404,8 @@ mod tests {
         let mut c = dm_l1();
         let a = c.geometry().line_addr(Addr::new(0x1000));
         let b = c.geometry().line_addr(Addr::new(0x1000 + 32 * 1024)); // same set
-        c.fill(a, 0, false);
-        let ev = c.fill(b, 1, false).expect("conflict must evict");
+        c.fill(a, false);
+        let ev = c.fill(b, false).expect("conflict must evict");
         assert_eq!(ev.line, a);
         assert!(!c.contains(a));
         assert!(c.contains(b));
@@ -432,13 +419,13 @@ mod tests {
         // Four lines in set 0 (stride = num_sets * line = 64 B).
         let lines: Vec<_> = (0..5).map(|i| g.line_addr(Addr::new(i * 64))).collect();
         for l in &lines[..4] {
-            c.fill(*l, 0, false);
+            c.fill(*l, false);
         }
         // Touch 0,2,3 so line 1 is LRU.
-        c.access(lines[0], false, 1);
-        c.access(lines[2], false, 2);
-        c.access(lines[3], false, 3);
-        let ev = c.fill(lines[4], 4, false).expect("full set evicts");
+        c.access(lines[0], false);
+        c.access(lines[2], false);
+        c.access(lines[3], false);
+        let ev = c.fill(lines[4], false).expect("full set evicts");
         assert_eq!(ev.line, lines[1]);
     }
 
@@ -448,9 +435,9 @@ mod tests {
         let g = *c.geometry();
         let a = g.line_addr(Addr::new(0x2000));
         let b = g.line_addr(Addr::new(0x2000 + 32 * 1024));
-        c.fill(a, 0, false);
-        c.access(a, true, 1);
-        let ev = c.fill(b, 2, false).expect("evicts");
+        c.fill(a, false);
+        c.access(a, true);
+        let ev = c.fill(b, false).expect("evicts");
         assert!(ev.meta.dirty);
     }
 
@@ -458,15 +445,15 @@ mod tests {
     fn prefetch_credit_reported_once() {
         let mut c = dm_l1();
         let line = c.geometry().line_addr(Addr::new(0x3000));
-        c.fill(line, 0, true);
+        c.fill(line, true);
         assert_eq!(
-            c.access(line, false, 1),
+            c.access(line, false),
             AccessOutcome::Hit {
                 first_demand_of_prefetch: true
             }
         );
         assert_eq!(
-            c.access(line, false, 2),
+            c.access(line, false),
             AccessOutcome::Hit {
                 first_demand_of_prefetch: false
             }
@@ -477,12 +464,12 @@ mod tests {
     fn refill_of_resident_line_does_not_evict_or_duplicate() {
         let mut c = small_4way();
         let line = c.geometry().line_addr(Addr::new(0));
-        c.fill(line, 0, false);
-        assert!(c.fill(line, 1, true).is_none());
+        c.fill(line, false);
+        assert!(c.fill(line, true).is_none());
         assert_eq!(c.occupied_lines(), 1);
         // Refill must not clear the demand/prefetch state into a prefetch credit.
         assert_eq!(
-            c.access(line, false, 2),
+            c.access(line, false),
             AccessOutcome::Hit {
                 first_demand_of_prefetch: false
             }
@@ -493,7 +480,7 @@ mod tests {
     fn invalidate_removes_line() {
         let mut c = dm_l1();
         let line = c.geometry().line_addr(Addr::new(0x4000));
-        c.fill(line, 0, false);
+        c.fill(line, false);
         assert!(c.invalidate(line).is_some());
         assert!(!c.contains(line));
         assert!(c.invalidate(line).is_none());
@@ -506,11 +493,11 @@ mod tests {
         let g = *c.geometry();
         let lines: Vec<_> = (0..5).map(|i| g.line_addr(Addr::new(i * 64))).collect();
         for l in &lines[..4] {
-            c.fill(*l, 0, false);
+            c.fill(*l, false);
         }
         c.invalidate(lines[1]);
         // The freed way (lowest empty) takes the next fill: no eviction.
-        assert!(c.fill(lines[4], 1, false).is_none());
+        assert!(c.fill(lines[4], false).is_none());
         assert_eq!(c.occupied_lines(), 4);
         assert!(c.contains(lines[4]));
     }
@@ -520,10 +507,9 @@ mod tests {
         let mut c = dm_l1();
         let line = c.geometry().line_addr(Addr::new(0x5000));
         assert!(c.peek(line).is_none());
-        c.fill(line, 7, true);
+        c.fill(line, true);
         let m = c.peek(line).expect("resident");
         assert!(m.prefetched && !m.demanded && !m.dirty);
-        assert_eq!(m.fill_cycle, 7);
     }
 
     #[test]
@@ -532,8 +518,8 @@ mod tests {
         let g = *c.geometry();
         let a = g.line_addr(Addr::new(0));
         let b = g.line_addr(Addr::new(32)); // other set
-        c.fill(a, 0, false);
-        c.fill(b, 0, true);
+        c.fill(a, false);
+        c.fill(b, true);
         let mut lines: Vec<_> = c.iter().map(|(l, m)| (l, m.prefetched)).collect();
         lines.sort();
         assert_eq!(lines, vec![(a, false), (b, true)]);

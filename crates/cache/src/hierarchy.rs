@@ -348,8 +348,8 @@ impl MemoryHierarchy {
     /// Lands every in-flight fill and promotion that completes at or
     /// before `now`.
     fn advance(&mut self, now: u64) {
-        // Fast path: on most accesses nothing has completed yet, and the
-        // cached-minimum checks answer that without touching the files.
+        // Fast path: on most accesses nothing has completed yet, and one
+        // compare against each file's earliest fill answers that.
         if !self.l2_fills.has_ready(now)
             && !self.l1_fills.has_ready(now)
             && self.promotions.is_empty()
@@ -366,7 +366,7 @@ impl MemoryHierarchy {
                 self.inflight_prefetches = self.inflight_prefetches.saturating_sub(1);
             }
             let still_prefetch_credit = fill.is_prefetch && !fill.demanded;
-            let evicted = self.l2.fill(line, fill.ready_at, still_prefetch_credit);
+            let evicted = self.l2.fill(line, still_prefetch_credit);
             if fill.dirty {
                 self.l2.mark_dirty(line);
             }
@@ -413,7 +413,7 @@ impl MemoryHierarchy {
         dirty: bool,
         already_demanded: bool,
     ) {
-        let evicted = self.l1.fill(line, cycle, prefetched);
+        let evicted = self.l1.fill(line, prefetched);
         if dirty {
             self.l1.mark_dirty(line);
         }
@@ -463,7 +463,7 @@ impl MemoryHierarchy {
         }
         let l1_line = self.cfg.l1d.line_addr(acc.addr);
         let write = acc.kind.is_store();
-        match self.l1.access(l1_line, write, now) {
+        match self.l1.access(l1_line, write) {
             AccessOutcome::Hit {
                 first_demand_of_prefetch,
             } => {
@@ -653,7 +653,7 @@ impl MemoryHierarchy {
             return (t_tag, ServicedBy::L2);
         }
 
-        match self.l2.access(l2_line, write, t) {
+        match self.l2.access(l2_line, write) {
             AccessOutcome::Hit {
                 first_demand_of_prefetch,
             } => {
@@ -765,15 +765,10 @@ impl MemoryHierarchy {
     /// lines that never saw a demand access as "prefetched extra".
     /// Returns the final statistics.
     pub fn finalize(&mut self) -> HierarchyStats {
-        let horizon = self
-            .l2_fills
-            .earliest_ready()
-            .into_iter()
-            .chain(self.l1_fills.earliest_ready())
-            .max()
-            .unwrap_or(0)
-            .saturating_add(1_000_000);
-        self.advance(horizon);
+        // `advance` only compares `now` against completion cycles, and
+        // landing a fill or promotion starts no new one, so one advance to
+        // the end of time lands everything still in flight.
+        self.advance(u64::MAX);
         for (_, meta) in self.l2.iter() {
             if meta.prefetched && !meta.demanded {
                 self.stats.l2_breakdown.prefetched_extra += 1;
@@ -948,6 +943,36 @@ mod tests {
         // The second miss prefetched one more line that is never demanded.
         assert_eq!(stats.l2_breakdown.prefetched_extra, 1);
         assert!((stats.prefetch_accuracy() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn finalize_lands_every_inflight_fill() {
+        struct FarLine;
+        impl Prefetcher for FarLine {
+            fn name(&self) -> &str {
+                "far-line-test"
+            }
+            fn storage_bytes(&self) -> usize {
+                0
+            }
+            fn on_miss(&mut self, info: &L1MissInfo, out: &mut Vec<PrefetchRequest>) {
+                // A line no access in this test demands.
+                out.push(PrefetchRequest::to_l2(info.line.offset(1000)));
+            }
+        }
+        // Fills take 3M cycles, and the second miss issues 2M cycles
+        // after the first: its fills land more than 1M cycles after the
+        // first miss's.
+        let cfg = HierarchyConfig {
+            memory_latency: 3_000_000,
+            ..HierarchyConfig::default()
+        };
+        let mut h = MemoryHierarchy::new(cfg, Box::new(FarLine));
+        h.access(load(0x1000), 0);
+        h.access(load(0x9000), 2_000_000);
+        let stats = h.finalize();
+        assert_eq!(stats.prefetches_to_memory, 2);
+        assert_eq!(stats.l2_breakdown.prefetched_extra, 2);
     }
 
     #[test]

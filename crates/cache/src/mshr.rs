@@ -24,6 +24,17 @@ pub struct InflightFill {
 
 /// A file of miss status holding registers keyed by line address.
 ///
+/// The file holds at most `capacity` entries — 64 on the Table 1 machine
+/// — stored struct-of-arrays in completion order: the live entries
+/// `head..` ascend by `(ready_at, line)`, the order fills land in. So
+/// [`MshrFile::drain_ready_into`] (called on every hierarchy access via
+/// `advance`) takes the ready prefix and advances `head`, and the
+/// nothing-is-ready check is one compare against the head entry. An
+/// allocation appends — the usual case, since the buses serialize fills —
+/// or walks back from the tail to its slot. The line numbers sit in their
+/// own dense `u64` array so [`MshrFile::lookup`] (on *every* L1 and L2
+/// miss) is one chunked [`kernels::find_u64`] sweep over the live ones.
+///
 /// # Examples
 ///
 /// ```
@@ -35,23 +46,17 @@ pub struct InflightFill {
 /// m.allocate(l, 100, false);
 /// assert_eq!(m.lookup(l).unwrap().ready_at, 100);
 /// ```
-/// The file holds at most `capacity` entries — 64 on the Table 1 machine
-/// — stored struct-of-arrays: the line numbers sit in their own dense
-/// `u64` array so [`MshrFile::lookup`] (on *every* L1 and L2 miss) is one
-/// chunked [`kernels::find_u64`] sweep, and the cached minimum `ready_at`
-/// lets [`MshrFile::drain_ready_into`] (called on every hierarchy access
-/// via `advance`) return without scanning in the common nothing-is-ready
-/// case.
 #[derive(Clone, Debug)]
 pub struct MshrFile {
     capacity: usize,
-    /// Line numbers of in-flight fills; parallel to `fills`.
+    /// Line numbers of fills; parallel to `fills`, live from `head`.
     lines: Vec<u64>,
     fills: Vec<InflightFill>,
-    /// Exact minimum `ready_at` over `fills`; `u64::MAX` when empty.
-    /// `ready_at` never changes after allocation, so this stays exact
-    /// without per-mutation upkeep beyond allocate/drain.
-    min_ready: u64,
+    /// First live entry: everything before it has drained. A drain only
+    /// advances it; the dead prefix is dropped once it reaches
+    /// `capacity`, so both arrays stay under twice the capacity and the
+    /// live entries shift at most once per `capacity` fills drained.
+    head: usize,
 }
 
 impl MshrFile {
@@ -64,9 +69,9 @@ impl MshrFile {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         MshrFile {
             capacity,
-            lines: Vec::with_capacity(capacity),
-            fills: Vec::with_capacity(capacity),
-            min_ready: u64::MAX,
+            lines: Vec::with_capacity(2 * capacity),
+            fills: Vec::with_capacity(2 * capacity),
+            head: 0,
         }
     }
 
@@ -77,31 +82,33 @@ impl MshrFile {
 
     /// Number of fills currently in flight.
     pub fn in_use(&self) -> usize {
-        self.fills.len()
+        self.fills.len() - self.head
     }
 
     /// `true` when no register is free.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.fills.len() >= self.capacity
+        self.in_use() >= self.capacity
     }
 
     /// `true` when at least one fill has completed by `now` — the
     /// allocation-free fast-path check `advance` uses before draining.
     #[inline]
     pub fn has_ready(&self, now: u64) -> bool {
-        now >= self.min_ready
+        self.fills.get(self.head).is_some_and(|f| f.ready_at <= now)
     }
 
     /// Looks up an in-flight fill for `line`.
     #[inline]
     pub fn lookup(&self, line: LineAddr) -> Option<&InflightFill> {
-        kernels::find_u64(&self.lines, line.line_number()).map(|i| &self.fills[i])
+        let fills = &self.fills[self.head..];
+        kernels::find_u64(&self.lines[self.head..], line.line_number()).map(|i| &fills[i])
     }
 
     #[inline]
     fn lookup_mut(&mut self, line: LineAddr) -> Option<&mut InflightFill> {
-        kernels::find_u64(&self.lines, line.line_number()).map(|i| &mut self.fills[i])
+        let fills = &mut self.fills[self.head..];
+        kernels::find_u64(&self.lines[self.head..], line.line_number()).map(|i| &mut fills[i])
     }
 
     /// Marks an in-flight fill as demanded (a demand miss merged into it).
@@ -117,7 +124,7 @@ impl MshrFile {
         }
     }
 
-    /// Allocates a register for a new fill.
+    /// Allocates a register for a new fill, in completion order.
     ///
     /// # Panics
     ///
@@ -132,14 +139,24 @@ impl MshrFile {
             self.lookup(line).is_none(),
             "duplicate MSHR allocation for {line}"
         );
-        self.lines.push(line.line_number());
-        self.fills.push(InflightFill {
+        let key = (ready_at, line.line_number());
+        let fill = InflightFill {
             ready_at,
             is_prefetch,
             demanded: !is_prefetch,
             dirty: false,
-        });
-        self.min_ready = self.min_ready.min(ready_at);
+        };
+        // Walk back past every live fill that completes after this one;
+        // line numbers break `ready_at` ties, as they order a drain.
+        let later = self.fills[self.head..]
+            .iter()
+            .zip(&self.lines[self.head..])
+            .rev()
+            .take_while(|&(f, &l)| (f.ready_at, l) > key)
+            .count();
+        let at = self.fills.len() - later;
+        self.lines.insert(at, key.1);
+        self.fills.insert(at, fill);
     }
 
     /// Marks an in-flight fill dirty (a store merged into it).
@@ -157,59 +174,42 @@ impl MshrFile {
 
     /// Earliest completion cycle among in-flight fills, if any.
     pub fn earliest_ready(&self) -> Option<u64> {
-        if self.fills.is_empty() {
-            None
-        } else {
-            Some(self.min_ready)
-        }
-    }
-
-    /// Removes and returns every fill with `ready_at <= now`.
-    pub fn drain_ready(&mut self, now: u64) -> Vec<(LineAddr, InflightFill)> {
-        let mut out = Vec::new();
-        self.drain_ready_into(now, &mut out);
-        out
+        self.fills.get(self.head).map(|f| f.ready_at)
     }
 
     /// Clears `out`, then fills it with every fill whose
-    /// `ready_at <= now`, removing them from the file — the reusable-
-    /// buffer form of [`MshrFile::drain_ready`] the hierarchy's hot
-    /// `advance` path uses to avoid a fresh `Vec` per access.
+    /// `ready_at <= now`, removing them from the file, in `(ready_at,
+    /// line)` order. `out` is the caller's reusable buffer: the
+    /// hierarchy's hot `advance` path drains into one `Vec` for the whole
+    /// run. A drain at `u64::MAX` empties the file.
     pub fn drain_ready_into(&mut self, now: u64, out: &mut Vec<(LineAddr, InflightFill)>) {
         out.clear();
-        if now < self.min_ready {
+        let ready = self.fills[self.head..]
+            .iter()
+            .take_while(|f| f.ready_at <= now)
+            .count();
+        if ready == 0 {
             return;
         }
-        let mut i = 0;
-        while i < self.fills.len() {
-            if self.fills[i].ready_at <= now {
-                let line = LineAddr::from_line_number(self.lines.swap_remove(i));
-                out.push((line, self.fills.swap_remove(i)));
-            } else {
-                i += 1;
-            }
+        let end = self.head + ready;
+        out.extend(
+            self.lines[self.head..end]
+                .iter()
+                .zip(&self.fills[self.head..end])
+                .map(|(&l, &f)| (LineAddr::from_line_number(l), f)),
+        );
+        self.head = end;
+        if self.head == self.fills.len() {
+            self.lines.clear();
+            self.fills.clear();
+            self.head = 0;
+        } else if self.head >= self.capacity {
+            // At most `capacity` live entries move, once per `capacity`
+            // drained: amortized O(1) per fill.
+            self.lines.drain(..self.head);
+            self.fills.drain(..self.head);
+            self.head = 0;
         }
-        // Deterministic order for reproducibility (line addresses are
-        // unique, so the pre-sort order cannot influence the result).
-        out.sort_by_key(|(l, f)| (f.ready_at, l.line_number()));
-        let mut min = u64::MAX;
-        for f in &self.fills {
-            min = min.min(f.ready_at);
-        }
-        self.min_ready = min;
-    }
-
-    /// Removes every in-flight fill, returning them (end-of-run cleanup).
-    pub fn drain_all(&mut self) -> Vec<(LineAddr, InflightFill)> {
-        let mut out: Vec<_> = self
-            .lines
-            .drain(..)
-            .map(LineAddr::from_line_number)
-            .zip(self.fills.drain(..))
-            .collect();
-        out.sort_by_key(|(l, f)| (f.ready_at, l.line_number()));
-        self.min_ready = u64::MAX;
-        out
     }
 }
 
@@ -272,7 +272,8 @@ mod tests {
         m.allocate(l(1), 30, false);
         m.allocate(l(2), 10, false);
         m.allocate(l(3), 20, true);
-        let drained = m.drain_ready(25);
+        let mut drained = Vec::new();
+        m.drain_ready_into(25, &mut drained);
         assert_eq!(
             drained
                 .iter()
@@ -303,7 +304,9 @@ mod tests {
         let mut m = MshrFile::new(4);
         m.allocate(l(1), 5, false);
         m.allocate(l(2), 6, false);
-        assert_eq!(m.drain_all().len(), 2);
+        let mut drained = Vec::new();
+        m.drain_ready_into(u64::MAX, &mut drained);
+        assert_eq!(drained.len(), 2);
         assert_eq!(m.in_use(), 0);
         assert_eq!(m.earliest_ready(), None);
     }

@@ -326,8 +326,8 @@ impl SteppedCore {
             let iline = g.line_addr(op.pc);
             if self.last_iline != Some(iline) {
                 self.last_iline = Some(iline);
-                if let tcp_cache::AccessOutcome::Miss = ic.access(iline, false, self.fetch_cycle) {
-                    ic.fill(iline, self.fetch_cycle, false);
+                if let tcp_cache::AccessOutcome::Miss = ic.access(iline, false) {
+                    ic.fill(iline, false);
                     self.fetch_blocked_until = self
                         .fetch_blocked_until
                         .max(self.fetch_cycle + cfg.icache_miss_penalty);

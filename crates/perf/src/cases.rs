@@ -296,12 +296,9 @@ fn cache_fill_churn(smoke: bool, opts: MeasureOpts) -> CaseResult {
         || {
             let mut cache = Cache::new(geom, Replacement::Lru);
             let mut evictions = 0u64;
-            for (i, line) in lines.iter().enumerate() {
-                let c = i as u64;
-                if matches!(
-                    cache.access(*line, false, c),
-                    tcp_cache::AccessOutcome::Miss
-                ) && cache.fill(*line, c, false).is_some()
+            for line in &lines {
+                if matches!(cache.access(*line, false), tcp_cache::AccessOutcome::Miss)
+                    && cache.fill(*line, false).is_some()
                 {
                     evictions += 1;
                 }

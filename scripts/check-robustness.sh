@@ -48,6 +48,10 @@ echo "== PHT differential suite (PatternHistoryTable vs naive reference PHT) =="
 cargo test -p tcp-core --test pht_reference
 
 echo
+echo "== MSHR differential suite (MshrFile vs naive reference MSHR file) =="
+cargo test -p tcp-cache --test mshr_reference
+
+echo
 echo "== streaming-engine acceptance (bit-identity, tenant isolation,"
 echo "   bounded-memory run over a synthetic trace >= 4x ring capacity) =="
 cargo test --test stream_engine

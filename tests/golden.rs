@@ -3,9 +3,11 @@
 //! or core scheduling that alters these numbers is *visible* here —
 //! update them only deliberately, alongside re-validating EXPERIMENTS.md.
 
-use tcp_repro::cache::NullPrefetcher;
+use tcp_repro::analysis::{miss_stream, MissRecord};
+use tcp_repro::cache::{NullPrefetcher, Prefetcher};
 use tcp_repro::core::{Tcp, TcpConfig};
 use tcp_repro::experiments::characterize::characterize;
+use tcp_repro::sim::stream::replay_records;
 use tcp_repro::sim::{run_benchmark, SystemConfig};
 use tcp_repro::workloads::suite;
 
@@ -89,6 +91,54 @@ fn tcp_timing_matches_golden_values() {
             (cycles, l2_misses, issued, prefetched),
             "{name} {variant}: (cycles, L2 demand misses, prefetches issued, \
              prefetched original) drifted"
+        );
+    }
+}
+
+/// (benchmark, engine, cycles, MSHR stall cycles, L2 demand misses,
+/// prefetches issued, prefetches dropped, prefetched extra) for the first
+/// 40,000 Table 1 L1D misses replayed one load each. Every record is a
+/// miss, so the 64-entry L1 MSHR file runs full and the order its
+/// in-flight fills drain in decides the timing: every row stalls.
+const REPLAY_GOLDEN: &[(&str, &str, [u64; 6])] = &[
+    ("mcf", "none", [156609, 9954153, 39128, 0, 0, 0]),
+    ("mcf", "TCP-8K", [162501, 10330581, 38942, 2118, 0, 1473]),
+    ("swim", "none", [80109, 5072494, 20003, 0, 0, 0]),
+    ("swim", "TCP-8K", [82363, 5213690, 12557, 16167, 0, 564]),
+];
+
+#[test]
+fn replay_timing_matches_golden_values() {
+    const RECORDS: usize = 40_000;
+    let cfg = SystemConfig::table1();
+    for &(name, engine, want) in REPLAY_GOLDEN {
+        let b = suite().into_iter().find(|b| b.name == name).unwrap();
+        let accesses = b
+            .generator(RECORDS as u64 * 64)
+            .filter_map(|op| op.mem_access());
+        let records: Vec<MissRecord> = miss_stream(cfg.hierarchy.l1d, accesses)
+            .take(RECORDS)
+            .collect();
+        assert_eq!(records.len(), RECORDS, "{name}: trace ran dry");
+        let prefetcher: Box<dyn Prefetcher> = match engine {
+            "none" => Box::new(NullPrefetcher),
+            _ => Box::new(Tcp::new(TcpConfig::tcp_8k())),
+        };
+        let r = replay_records(&records, &cfg, prefetcher);
+        let s = &r.stats;
+        let got = [
+            r.cycles,
+            s.mshr_stall_cycles,
+            s.l2_demand_misses,
+            s.prefetches_issued,
+            s.prefetches_dropped,
+            s.l2_breakdown.prefetched_extra,
+        ];
+        assert!(got[1] > 0, "{name} {engine}: the MSHR file must fill");
+        assert_eq!(
+            got, want,
+            "{name} {engine}: (cycles, MSHR stall cycles, L2 demand misses, \
+             prefetches issued, prefetches dropped, prefetched extra) drifted"
         );
     }
 }
