@@ -20,27 +20,37 @@
 //!
 //! # Crash safety
 //!
-//! Writes never touch `store.jsonl` in place: [`SweepStore::flush`]
-//! serializes the whole store to `store.jsonl.tmp`, fsyncs it, atomically
-//! renames it over `store.jsonl`, and fsyncs the directory. A crash
-//! leaves either the old store or the new one — never a torn mixture —
-//! and at worst an orphaned temp file, which the next [`SweepStore::open`]
-//! quarantines.
+//! [`SweepStore::flush`] appends only the records inserted since the
+//! last flush, in insertion order, with one write and one fsync of
+//! `store.jsonl`; the directory is fsynced too when that append creates
+//! the file. A crash mid-append can tear at most the last line, which the
+//! next [`SweepStore::open`] quarantines like any damaged record, so
+//! every record flushed before it survives.
+//!
+//! Nothing is ever appended after a torn or unterminated tail. When
+//! `open` quarantines anything, or finds a last record cut just before
+//! its newline, it repairs the file with the atomic rewrite: serialize
+//! every record, in key order, to `store.jsonl.tmp`, fsync it, rename it
+//! over `store.jsonl` and fsync the directory. A flush whose append
+//! failed keeps its records and makes the next flush that rewrite. A
+//! crash during a rewrite leaves either the old file or the new one, and
+//! at worst an orphaned temp file, which the next `open` quarantines.
 //!
 //! # Graceful degradation
 //!
 //! Loading never aborts on bad data. A record that is truncated,
 //! bit-flipped, version-skewed, duplicated, or left behind by an
-//! interrupted rename is *quarantined*: moved (with a reason) to
+//! interrupted rename is *quarantined*: appended (with a reason) to
 //! `quarantine.jsonl`, counted in [`StoreStats`], and removed from the
-//! store file — so the engine transparently re-simulates exactly those
-//! keys. The fault-injection suite (`StoreFault` in `tcp_sim::faults`,
-//! exercised by `tests/store_persistence.rs`) pins this contract.
+//! store file by the repair rewrite — so the engine transparently
+//! re-simulates exactly those keys. The fault-injection suite
+//! (`StoreFault` in `tcp_sim::faults`, exercised by
+//! `tests/store_persistence.rs`) pins this contract.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{self, File};
+use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -77,8 +87,8 @@ pub enum QuarantineReason {
     ChecksumMismatch,
     /// A record for this key was already loaded; first record wins.
     DuplicateKey,
-    /// An orphaned temp file from an interrupted flush (`store.jsonl.tmp`
-    /// left behind between write and rename).
+    /// An orphaned temp file from an interrupted repair rewrite
+    /// (`store.jsonl.tmp` left behind between write and rename).
     TornRename,
 }
 
@@ -211,8 +221,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct SweepStore {
     dir: PathBuf,
     records: BTreeMap<String, RunResult>,
+    /// The encoded lines of the records inserted since the last flush, in
+    /// insertion order: what the next flush appends.
+    pending: String,
+    /// Set when an append failed and may have left a torn tail: the next
+    /// flush rewrites the file instead of appending after it.
+    torn_tail: bool,
     stats: StoreStats,
-    dirty: bool,
 }
 
 impl SweepStore {
@@ -222,9 +237,11 @@ impl SweepStore {
     /// Quarantine is repair, not failure: corrupt, truncated,
     /// version-skewed, and duplicate records are appended to
     /// `quarantine.jsonl` with a reason, the store file is rewritten
-    /// without them (atomically), and the counts land in
+    /// without them (atomically, in key order), and the counts land in
     /// [`SweepStore::stats`]. An orphaned `store.jsonl.tmp` from an
-    /// interrupted flush is quarantined the same way.
+    /// interrupted rewrite is quarantined the same way. A last record
+    /// that is complete but lacks its newline is kept, and the file is
+    /// rewritten so that the next append starts on a fresh line.
     ///
     /// # Errors
     ///
@@ -239,14 +256,15 @@ impl SweepStore {
         let mut store = SweepStore {
             dir: dir.to_path_buf(),
             records: BTreeMap::new(),
+            pending: String::new(),
+            torn_tail: false,
             stats: StoreStats::default(),
-            dirty: false,
         };
         let mut quarantine: Vec<(QuarantineReason, String, String)> = Vec::new();
 
-        // An orphaned temp file means a flush was interrupted between
-        // write and rename; its contents were never committed, so they
-        // are evidence, not data.
+        // An orphaned temp file means a repair rewrite was interrupted
+        // between write and rename; its contents were never committed,
+        // so they are evidence, not data.
         let tmp = store.dir.join(STORE_TMP_FILE);
         if tmp.exists() {
             let bytes = fs::read(&tmp).map_err(|source| StoreError {
@@ -268,12 +286,14 @@ impl SweepStore {
         }
 
         let store_path = store.store_path();
+        let mut unterminated = false;
         if store_path.exists() {
             let bytes = fs::read(&store_path).map_err(|source| StoreError {
                 op: "read",
                 path: store_path.clone(),
                 source,
             })?;
+            unterminated = bytes.last().is_some_and(|&b| b != b'\n');
             for raw in bytes.split(|&b| b == b'\n') {
                 if raw.is_empty() {
                     continue;
@@ -327,11 +347,12 @@ impl SweepStore {
 
         if !quarantine.is_empty() {
             store.append_quarantine(&quarantine)?;
-            // Rewrite the store without the bad records so they are
-            // *moved*, not merely skipped — the next open sees a clean
-            // file.
-            store.dirty = true;
-            store.write_store_file()?;
+        }
+        // Rewrite the store without the bad records so they are *moved*,
+        // not merely skipped — the next open sees a clean file — and so
+        // that no append is ever glued onto an unterminated last line.
+        if !quarantine.is_empty() || unterminated {
+            store.rewrite()?;
         }
         Ok(store)
     }
@@ -356,13 +377,18 @@ impl SweepStore {
         self.records.get(key)
     }
 
-    /// Records `result` under `key` in memory; [`SweepStore::flush`]
-    /// persists it. Re-inserting an existing key overwrites (the
-    /// simulator is deterministic, so the value can only be identical).
+    /// Records `result` under `key` in memory and queues its line for
+    /// the next [`SweepStore::flush`]. Inserting a key the store already
+    /// holds does nothing: the simulator is deterministic, so the value
+    /// can only be identical, and a second line for the key would be
+    /// quarantined as a duplicate by the next [`SweepStore::open`].
     pub fn insert(&mut self, key: &str, result: &RunResult) {
-        self.records.insert(key.to_owned(), result.clone());
-        self.stats.inserted += 1;
-        self.dirty = true;
+        if let Entry::Vacant(slot) = self.records.entry(key.to_owned()) {
+            self.pending.push_str(&encode_record(key, result));
+            self.pending.push('\n');
+            slot.insert(result.clone());
+            self.stats.inserted += 1;
+        }
     }
 
     /// Number of records currently held.
@@ -380,53 +406,51 @@ impl SweepStore {
         self.stats
     }
 
-    /// Persists the store with the crash-safe protocol: serialize all
-    /// records to `store.jsonl.tmp`, fsync, atomically rename over
-    /// `store.jsonl`, fsync the directory. A no-op when nothing changed
-    /// since the last flush.
+    /// Persists the records inserted since the last flush: their lines
+    /// are appended to `store.jsonl`, in insertion order, with one write
+    /// and one fsync (plus a directory fsync when the append creates the
+    /// file). A no-op when nothing was inserted since the last flush.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] on any I/O failure; the previous store file is
-    /// untouched in that case.
+    /// [`StoreError`] on any I/O failure. The records stay queued, and
+    /// because a failed append may have left a torn tail, the next flush
+    /// rewrites the whole file atomically instead of appending after it.
     pub fn flush(&mut self) -> Result<(), StoreError> {
-        if !self.dirty {
+        if self.pending.is_empty() {
             return Ok(());
         }
-        self.write_store_file()?;
+        if self.torn_tail {
+            self.rewrite()?;
+        } else if let Err(e) = append_durably(&self.store_path(), &self.pending) {
+            self.torn_tail = true;
+            return Err(e);
+        }
+        self.pending.clear();
         self.stats.flushes += 1;
         Ok(())
     }
 
-    fn write_store_file(&mut self) -> Result<(), StoreError> {
+    /// Replaces `store.jsonl` with every record, in key order, through
+    /// the atomic rewrite ([`write_atomic`]).
+    fn rewrite(&mut self) -> Result<(), StoreError> {
         let mut out = String::new();
         for (key, result) in &self.records {
             out.push_str(&encode_record(key, result));
             out.push('\n');
         }
         write_atomic(&self.store_path(), &self.dir.join(STORE_TMP_FILE), &out)?;
-        self.dirty = false;
+        self.torn_tail = false;
         Ok(())
     }
 
     /// Appends quarantine entries (reason, original record text, detail)
-    /// to `quarantine.jsonl` with the same atomic write protocol.
+    /// to `quarantine.jsonl` the way a flush appends records.
     fn append_quarantine(
         &self,
         entries: &[(QuarantineReason, String, String)],
     ) -> Result<(), StoreError> {
-        let path = self.quarantine_path();
-        let mut out = match fs::read_to_string(&path) {
-            Ok(existing) => existing,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(source) => {
-                return Err(StoreError {
-                    op: "read",
-                    path,
-                    source,
-                })
-            }
-        };
+        let mut out = String::new();
         for (reason, record, detail) in entries {
             let mut obj = BTreeMap::new();
             obj.insert("reason".to_owned(), Json::Str(reason.as_str().to_owned()));
@@ -435,8 +459,48 @@ impl SweepStore {
             out.push_str(&tcp_json::to_string(&Json::Obj(obj)));
             out.push('\n');
         }
-        let tmp = path.with_extension("jsonl.tmp");
-        write_atomic(&path, &tmp, &out)
+        append_durably(&self.quarantine_path(), &out)
+    }
+}
+
+/// Appends `lines` to `path` with one write and one fsync, creating the
+/// file if needed; a create also fsyncs the containing directory, so the
+/// new file's name is as durable as its contents.
+fn append_durably(path: &Path, lines: &str) -> Result<(), StoreError> {
+    let err = |op, source| StoreError {
+        op,
+        path: path.to_path_buf(),
+        source,
+    };
+    let (mut file, created) = match OpenOptions::new().append(true).open(path) {
+        Ok(file) => (file, false),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            let file = OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(path)
+                .map_err(|source| err("create", source))?;
+            (file, true)
+        }
+        Err(source) => return Err(err("open", source)),
+    };
+    file.write_all(lines.as_bytes())
+        .map_err(|source| err("write", source))?;
+    file.sync_all().map_err(|source| err("fsync", source))?;
+    if created {
+        sync_parent_dir(path);
+    }
+    Ok(())
+}
+
+/// Best-effort fsync of the directory holding `path`, which commits a
+/// create or rename itself; skipping it on filesystems that refuse costs
+/// durability of the very last write, never consistency.
+fn sync_parent_dir(path: &Path) {
+    if let Some(parent) = path.parent() {
+        if let Ok(dir) = File::open(parent) {
+            let _ = dir.sync_all();
+        }
     }
 }
 
@@ -466,14 +530,7 @@ fn write_atomic(path: &Path, tmp: &Path, contents: &str) -> Result<(), StoreErro
         path: path.to_path_buf(),
         source,
     })?;
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = File::open(parent) {
-            // Directory fsync commits the rename itself; skipping it on
-            // filesystems that refuse costs durability of the very last
-            // flush, never consistency.
-            let _ = dir.sync_all();
-        }
-    }
+    sync_parent_dir(path);
     Ok(())
 }
 
@@ -571,17 +628,19 @@ fn payload_to_json(key: &str, result: &RunResult) -> Json {
 
 /// Serializes one store record line (no trailing newline): envelope with
 /// `store_version`, payload `checksum`, and the payload itself.
+///
+/// The payload is serialized once, and the envelope is written around
+/// that text in the canonical form [`tcp_json::to_string`] would give the
+/// whole record: its keys already sort `checksum` < `payload` <
+/// `store_version`, and neither the decimal checksum nor the version
+/// needs escaping.
 pub fn encode_record(key: &str, result: &RunResult) -> String {
-    let payload = payload_to_json(key, result);
-    let payload_text = tcp_json::to_string(&payload);
-    let mut m = BTreeMap::new();
-    m.insert("store_version".to_owned(), Json::Num(STORE_VERSION as f64));
-    m.insert(
-        "checksum".to_owned(),
-        str_field(fnv1a64(payload_text.as_bytes())),
-    );
-    m.insert("payload".to_owned(), payload);
-    tcp_json::to_string(&Json::Obj(m))
+    let payload = tcp_json::to_string(&payload_to_json(key, result));
+    format!(
+        "{{\"checksum\":\"{}\",\"payload\":{payload},\"store_version\":{}}}",
+        fnv1a64(payload.as_bytes()),
+        tcp_json::num(STORE_VERSION as f64),
+    )
 }
 
 type Quarantined = (QuarantineReason, String);
@@ -884,6 +943,38 @@ mod tests {
         let store = SweepStore::open(&dir).expect("open survives truncation");
         assert_eq!(store.len(), 1);
         assert_eq!(store.stats().quarantined_parse, 1);
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_failed_append_is_retried_as_a_rewrite() {
+        let dir = test_dir("failed-append");
+        let mut store = SweepStore::open(&dir).expect("open");
+        store.insert("a", &sample_result(30));
+        store.flush().expect("flush");
+        store.insert("b", &sample_result(31));
+        // A directory in the store file's place makes the append fail.
+        let path = dir.join(STORE_FILE);
+        fs::remove_file(&path).expect("remove store file");
+        fs::create_dir(&path).expect("block the store file");
+        assert!(store.flush().is_err(), "append into a directory fails");
+        assert_eq!(store.stats().flushes, 1);
+
+        // The failed append left a torn tail; appending after it would
+        // glue the queued record onto it.
+        fs::remove_dir(&path).expect("unblock the store file");
+        let intact = encode_record("a", &sample_result(30));
+        fs::write(&path, format!("{intact}\n{}", &intact[..20])).expect("plant torn tail");
+        store.flush().expect("the retry rewrites");
+        assert_eq!(store.stats().flushes, 2);
+
+        let reopened = SweepStore::open(&dir).expect("reopen");
+        assert_eq!(reopened.stats().total_quarantined(), 0);
+        assert_eq!(reopened.len(), 2);
+        assert_eq!(
+            reopened.get("b").expect("queued record kept").cycles,
+            1_000_031
+        );
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -372,12 +372,14 @@ impl SweepEngine {
     ///
     /// With a store, misses run in batches of
     /// [`CheckpointOpts::batch_jobs`]; after each batch the new results
-    /// are inserted and the store is **flushed with the crash-safe
-    /// protocol**, so a sweep killed mid-run resumes from the last
-    /// completed batch — bit-identically, because stored results
-    /// round-trip exactly and the simulator is deterministic. Without a
-    /// store there is nothing to checkpoint, so every miss fans out as
-    /// one barrier-free batch.
+    /// are inserted in job order and the store is **flushed**: their
+    /// records are appended to the store file with one write and one
+    /// fsync ([`SweepStore::flush`]). So a sweep killed mid-run resumes
+    /// from the last completed batch — bit-identically, because stored
+    /// results round-trip exactly and the simulator is deterministic —
+    /// and the appended bytes depend on `jobs` and the store's contents,
+    /// never on the thread count. Without a store there is nothing to
+    /// checkpoint, so every miss fans out as one barrier-free batch.
     ///
     /// Each job is supervised by the [`Watchdog`] from `opts`; a wedged
     /// job is retried up to [`CheckpointOpts::max_retries`] times with a

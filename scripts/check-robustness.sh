@@ -24,7 +24,7 @@ echo "== sweep-engine determinism tests (executor + memo + cross-figure) =="
 cargo test --test sweep_engine
 
 echo
-echo "== persistent-store acceptance tests (checkpoint/resume + quarantine) =="
+echo "== persistent-store acceptance tests (checkpoint/resume, quarantine, torn appends) =="
 cargo test --test store_persistence
 
 echo
@@ -50,6 +50,10 @@ cargo test -p tcp-core --test pht_reference
 echo
 echo "== MSHR differential suite (MshrFile vs naive reference MSHR file) =="
 cargo test -p tcp-cache --test mshr_reference
+
+echo
+echo "== JSON codec differential suite (tcp-json vs its verbatim reference codec) =="
+cargo test -p tcp-json --test codec_reference
 
 echo
 echo "== streaming-engine acceptance (bit-identity, tenant isolation,"

@@ -2,15 +2,22 @@
 //! killed mid-way must resume from its checkpoints bit-identically, and
 //! every [`StoreFault`] injected into the on-disk records must be
 //! quarantined with the right reason while the sweep still completes with
-//! correct results.
+//! correct results. A flush appends only its new records, so a crash
+//! anywhere inside an append must cost at most the torn record, and the
+//! file's bytes must depend only on the jobs, not on the thread count.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tcp_repro::cache::{HierarchyStats, L2AccessBreakdown};
 use tcp_repro::core::TcpConfig;
-use tcp_repro::experiments::store::{StoreStats, SweepStore, QUARANTINE_FILE, STORE_TMP_FILE};
+use tcp_repro::experiments::store::{
+    decode_record, encode_record, StoreStats, SweepStore, QUARANTINE_FILE, STORE_FILE,
+    STORE_TMP_FILE,
+};
 use tcp_repro::experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine};
+use tcp_repro::mem::SplitMix64;
 use tcp_repro::sim::faults::{corrupt_store, StoreFault, STORE_FAULTS};
 use tcp_repro::sim::{RunResult, SystemConfig};
 use tcp_repro::workloads::suite;
@@ -31,9 +38,14 @@ fn test_dir(label: &str) -> PathBuf {
 
 /// Four distinct jobs: two benchmarks, each with and without TCP.
 fn jobs() -> Vec<Job> {
+    jobs_for(&["gzip", "ammp"])
+}
+
+/// Two jobs per named benchmark: without and with TCP.
+fn jobs_for(names: &[&str]) -> Vec<Job> {
     let machine = SystemConfig::table1();
     let benches = suite();
-    ["gzip", "ammp"]
+    names
         .iter()
         .map(|name| benches.iter().find(|b| b.name == *name).expect("bench"))
         .flat_map(|b| {
@@ -171,4 +183,169 @@ fn every_store_fault_is_quarantined_and_the_sweep_still_completes() {
         fs::remove_dir_all(&dir).expect("cleanup");
     }
     fs::remove_dir_all(&seed_dir).expect("cleanup");
+}
+
+/// A result whose counters are drawn from `seed`, so a record that comes
+/// back swapped for another cannot pass for the original.
+fn synthetic_result(seed: u64) -> RunResult {
+    let mut rng = SplitMix64::new(seed);
+    let mut n = || rng.next_u64() >> 48;
+    RunResult {
+        benchmark: format!("b{seed}"),
+        prefetcher: "tcp-8k".to_owned(),
+        prefetcher_bytes: 8192,
+        ipc: f64::from_bits(n() | 0x3ff0_0000_0000_0000),
+        cycles: n(),
+        ops: n(),
+        stats: HierarchyStats {
+            loads: n(),
+            stores: n(),
+            l1_hits: n(),
+            l1_misses: n(),
+            l2_demand_misses: n(),
+            prefetches_issued: n(),
+            l2_breakdown: L2AccessBreakdown {
+                prefetched_original: n(),
+                non_prefetched_original: n(),
+                prefetched_extra: n(),
+            },
+            ..HierarchyStats::default()
+        },
+    }
+}
+
+#[test]
+fn every_cut_inside_an_append_recovers() {
+    // Short keys keep each record small, so the loop over every cut of
+    // the append stays quick.
+    let results: Vec<(String, RunResult)> = (0..6)
+        .map(|i| (format!("k{i}"), synthetic_result(i)))
+        .collect();
+    let first = &results[..3];
+    // Appended out of key order, so a rewrite (which writes key order)
+    // cannot pass for an append.
+    let appended = [&results[5], &results[3], &results[4]];
+
+    let dir = test_dir("append");
+    let mut store = SweepStore::open(&dir).expect("open");
+    for (key, result) in first {
+        store.insert(key, result);
+    }
+    store.flush().expect("first flush");
+    let before = fs::read(store.store_path()).expect("read the first flush");
+    for (key, result) in appended {
+        store.insert(key, result);
+    }
+    store.flush().expect("append");
+    let after = fs::read(store.store_path()).expect("read the append");
+    drop(store);
+    fs::remove_dir_all(&dir).expect("cleanup");
+
+    // The append wrote exactly its new records, in insertion order, one
+    // line each, and left the first flush's bytes as they were.
+    assert!(
+        after.starts_with(&before),
+        "the append rewrote the bytes of an earlier flush"
+    );
+    let mut new_lines = String::new();
+    // Byte offsets where each appended record starts and where its JSON
+    // ends (just before its newline).
+    let mut spans = Vec::new();
+    for (key, result) in appended {
+        let start = before.len() + new_lines.len();
+        new_lines.push_str(&encode_record(key, result));
+        spans.push((start, before.len() + new_lines.len()));
+        new_lines.push('\n');
+    }
+    assert_eq!(
+        String::from_utf8_lossy(&after[before.len()..]),
+        new_lines,
+        "the append holds exactly the new records, in insertion order"
+    );
+
+    // One directory serves every cut: each replaces the store file, and
+    // the quarantine file only grows.
+    let dir = test_dir("cut");
+    fs::create_dir_all(&dir).expect("mkdir");
+    for cut in before.len()..=after.len() {
+        fs::write(dir.join(STORE_FILE), &after[..cut]).expect("plant the cut store");
+
+        let mut store = SweepStore::open(&dir).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        let complete = spans.iter().filter(|&&(_, end)| end <= cut).count();
+        let torn = spans.iter().any(|&(start, end)| start < cut && cut < end);
+        let stats = store.stats();
+        assert_eq!(stats.loaded, first.len() + complete, "cut {cut}");
+        assert_eq!(stats.quarantined_parse, usize::from(torn), "cut {cut}");
+        assert_eq!(stats.total_quarantined(), usize::from(torn), "cut {cut}");
+        for (key, result) in first.iter().chain(appended[..complete].iter().copied()) {
+            let loaded = store
+                .get(key)
+                .unwrap_or_else(|| panic!("cut {cut}: complete record {key} lost"));
+            assert_bit_identical(std::slice::from_ref(result), std::slice::from_ref(loaded));
+        }
+
+        // Resume: insert every reference result (the keys still present
+        // must queue nothing) and flush.
+        for (key, result) in &results {
+            store.insert(key, result);
+        }
+        assert_eq!(
+            store.stats().inserted,
+            appended.len() - complete,
+            "cut {cut}"
+        );
+        store.flush().expect("resume flush");
+        drop(store);
+        let reopened = SweepStore::open(&dir).expect("reopen");
+        assert_eq!(reopened.stats().total_quarantined(), 0, "cut {cut}");
+        assert_eq!(reopened.len(), results.len(), "cut {cut}");
+        for (key, result) in &results {
+            let loaded = reopened
+                .get(key)
+                .unwrap_or_else(|| panic!("cut {cut}: {key} missing after resume"));
+            assert_bit_identical(std::slice::from_ref(result), std::slice::from_ref(loaded));
+        }
+    }
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn store_bytes_do_not_depend_on_threads() {
+    let jobs = jobs_for(&["gzip", "ammp", "mcf", "art", "crafty"]);
+    let mut reference: Option<Vec<u8>> = None;
+    for threads in [1, 2, 8] {
+        for batch_jobs in [1, 8] {
+            let dir = test_dir("threads");
+            let mut store = SweepStore::open(&dir).expect("open");
+            let opts = CheckpointOpts {
+                batch_jobs,
+                ..CheckpointOpts::default()
+            };
+            SweepEngine::with_threads(threads)
+                .run_with(&mut store, &jobs, &opts)
+                .expect("sweep completes");
+            let bytes = fs::read(store.store_path()).expect("read store");
+            drop(store);
+            fs::remove_dir_all(&dir).expect("cleanup");
+            match &reference {
+                None => {
+                    // The records land in job order: that is the order
+                    // the engine inserts them, batch by batch.
+                    let text = std::str::from_utf8(&bytes).expect("store is UTF-8");
+                    let keys: Vec<String> = text
+                        .lines()
+                        .map(|line| decode_record(line).expect("clean record").0)
+                        .collect();
+                    let job_keys: Vec<String> = jobs.iter().map(Job::key).collect();
+                    assert_eq!(keys, job_keys, "store lines follow job order");
+                    reference = Some(bytes);
+                }
+                Some(want) => assert!(
+                    *want == bytes,
+                    "store.jsonl at {threads} threads, batch_jobs {batch_jobs}, \
+                     differs from 1 thread, batch_jobs 1"
+                ),
+            }
+        }
+    }
 }
