@@ -1,4 +1,4 @@
-//! Baseline prefetchers the paper compares TCP against (Sections 5 & 7).
+//! Baseline prefetchers TCP is compared against (Sections 5 & 7).
 //!
 //! * [`Dbcp`] — the Dead-Block Correlating Prefetcher of Lai, Fide &
 //!   Falsafi (ISCA 2001), the paper's headline comparator at 2 MB
@@ -8,14 +8,10 @@
 //!   learned death signature, the block is predicted dead and the
 //!   correlated successor is prefetched.
 //! * [`StridePrefetcher`] — a PC-indexed reference-prediction table in
-//!   the style of Baer & Chen (Supercomputing '91).
-//! * [`StreamBufferPrefetcher`] — sequential stream buffers after Jouppi
-//!   (ISCA '90), approximated as sequential prefetch into the L2.
-//! * [`MarkovPrefetcher`] — the address-correlating Markov prefetcher of
-//!   Joseph & Grunwald (ISCA '97) with multiple targets per entry.
-//! * [`NextLinePrefetcher`] — the trivial one-line-ahead baseline.
+//!   the style of Baer & Chen (Supercomputing '91), the address-pattern
+//!   point of reference in `all inspect`'s prefetcher comparison.
 //!
-//! All engines implement [`tcp_cache::Prefetcher`], observe the same L1
+//! Both engines implement [`tcp_cache::Prefetcher`], observe the same L1
 //! miss stream as TCP, and prefetch into the L2, so Figure 11-style
 //! comparisons are apples-to-apples.
 
@@ -23,13 +19,7 @@
 #![warn(missing_docs)]
 
 mod dbcp;
-mod markov;
-mod nextline;
-mod stream;
 mod stride;
 
 pub use dbcp::{Dbcp, DbcpConfig};
-pub use markov::{MarkovConfig, MarkovPrefetcher};
-pub use nextline::NextLinePrefetcher;
-pub use stream::{StreamBufferConfig, StreamBufferPrefetcher};
 pub use stride::{StrideConfig, StridePrefetcher};

@@ -7,13 +7,13 @@
 //! The storage is struct-of-arrays: each set's way tags sit in one
 //! contiguous `u64` row probed by the chunked [`kernels::find_tag`]
 //! kernel, occupancy is one bitmask per set (empty-way selection is a
-//! single `trailing_zeros`), and the flag byte and the two recency-order
-//! stamp planes are separate parallel arrays so a probe touches only the
-//! bytes it needs. The cache keeps no cycle stamps: timing lives in the
-//! hierarchy's in-flight fills, and replacement needs only the order
-//! stamps. The fill path is one fused probe → empty-way → victim-select
-//! pass over those rows. [`LineMeta`] remains the external view,
-//! assembled on demand.
+//! single `trailing_zeros`), and the flag byte and the recency-stamp
+//! plane are separate parallel arrays so a probe touches only the bytes
+//! it needs. The cache keeps no cycle stamps: timing lives in the
+//! hierarchy's in-flight fills, and replacement needs only the
+//! last-access order stamps. The fill path is one fused probe →
+//! empty-way → victim-select pass over those rows. [`LineMeta`]
+//! remains the external view, assembled on demand.
 
 use crate::{kernels, Replacement};
 use tcp_mem::{CacheGeometry, LineAddr, SetIndex, Tag};
@@ -29,10 +29,6 @@ pub struct LineMeta {
     pub prefetched: bool,
     /// Line has serviced at least one demand access since fill.
     pub demanded: bool,
-    /// Monotonic order stamp of the fill (for FIFO).
-    pub fill_order: u64,
-    /// Monotonic order stamp of the last access (for LRU).
-    pub last_access_order: u64,
 }
 
 /// A line pushed out of the cache by a fill.
@@ -70,11 +66,11 @@ const FLAG_DEMANDED: u8 = 1 << 2;
 /// all planes starting at offset 0 a given set's row would land at the
 /// *same offset modulo 4 KB* in every plane — i.e. in the same
 /// associativity set of the host CPU's L1 cache. A workload hammering
-/// one simulated set would then pile the tag row and both stamp rows
-/// into one host cache set. Shifting each plane by a different whole
-/// cache line (0, 8 and 16 × `u64`) spreads the planes' rows across
-/// host sets. `OFF` is a const generic so the offset folds into the
-/// addressing arithmetic at compile time.
+/// one simulated set would then pile the tag row and the stamp row into
+/// one host cache set. Shifting each plane by a different whole cache
+/// line (0 and 8 × `u64`) spreads the planes' rows across host sets.
+/// `OFF` is a const generic so the offset folds into the addressing
+/// arithmetic at compile time.
 #[derive(Clone, Debug)]
 struct Plane<const OFF: usize>(Vec<u64>);
 
@@ -122,24 +118,21 @@ pub struct Cache {
     assoc: usize,
     // Struct-of-arrays way storage, row-major by set: `tags` holds each
     // set's way tags contiguously, `valid` one occupancy bitmask per set,
-    // and the flag bytes and order-stamp planes are parallel to `tags`
-    // (the planes each at its own host-cache-line stagger; see
+    // and the flag bytes and last-access stamp plane are parallel to
+    // `tags` (the two planes at different host-cache-line staggers; see
     // [`Plane`]).
     tags: Plane<0>,
     valid: Vec<u64>,
     flags: Vec<u8>,
-    fill_order: Plane<8>,
-    last_order: Plane<16>,
+    last_order: Plane<8>,
     order: u64,
-    occupied: u64,
     // Probe memo: the line most recently *missed* by [`Cache::access`]
     // and the residency epoch it was probed under. Residency only
-    // changes when a line is installed or invalidated (`epoch` counts
-    // those events), so a fill of the same line in the same epoch can
-    // skip its residency probe — the common access-miss-then-fill
-    // sequence pays for one probe, not two. Recency updates (hits)
-    // deliberately do not bump the epoch: they cannot change a probe's
-    // outcome.
+    // changes when a line is installed (`epoch` counts installs), so a
+    // fill of the same line in the same epoch can skip its residency
+    // probe — the common access-miss-then-fill sequence pays for one
+    // probe, not two. Recency updates (hits) deliberately do not bump
+    // the epoch: they cannot change a probe's outcome.
     missed_line: u64,
     missed_epoch: u64,
     epoch: u64,
@@ -165,10 +158,8 @@ impl Cache {
             tags: Plane::new(n),
             valid: vec![0; geom.num_sets() as usize],
             flags: vec![0; n],
-            fill_order: Plane::new(n),
             last_order: Plane::new(n),
             order: 0,
-            occupied: 0,
             missed_line: 0,
             // `epoch` never reaches MAX, so the memo starts invalid.
             missed_epoch: u64::MAX,
@@ -179,11 +170,6 @@ impl Cache {
     /// The cache's geometry.
     pub fn geometry(&self) -> &CacheGeometry {
         &self.geom
-    }
-
-    /// Number of resident lines.
-    pub fn occupied_lines(&self) -> u64 {
-        self.occupied
     }
 
     /// Bitmask with one bit set per way.
@@ -213,8 +199,6 @@ impl Cache {
             dirty: f & FLAG_DIRTY != 0,
             prefetched: f & FLAG_PREFETCHED != 0,
             demanded: f & FLAG_DEMANDED != 0,
-            fill_order: self.fill_order.at(i),
-            last_access_order: self.last_order.at(i),
         }
     }
 
@@ -222,12 +206,6 @@ impl Cache {
     pub fn contains(&self, line: LineAddr) -> bool {
         let (tag, set) = self.geom.split_line(line);
         self.find(tag, set).is_some()
-    }
-
-    /// Returns the metadata of a resident line, if present.
-    pub fn peek(&self, line: LineAddr) -> Option<LineMeta> {
-        let (tag, set) = self.geom.split_line(line);
-        self.find(tag, set).map(|i| self.meta_at(i))
     }
 
     /// Performs a demand access (load or store) to the line.
@@ -276,7 +254,7 @@ impl Cache {
         let base = s * self.assoc;
         let vm = self.valid[s];
         // The probe memo proves non-residency when `access` missed this
-        // very line and no install/invalidate has happened since.
+        // very line and no install has happened since.
         let known_absent =
             self.missed_line == line.line_number() && self.missed_epoch == self.epoch;
         if !known_absent {
@@ -291,13 +269,11 @@ impl Cache {
             // Lowest empty way, straight from the occupancy bitmask.
             let w = (!vm).trailing_zeros() as usize;
             self.valid[s] = vm | (1 << w);
-            self.occupied += 1;
             (base + w, None)
         } else {
-            let w = self.policy.choose_victim_in(
-                self.fill_order.row(base, self.assoc),
-                self.last_order.row(base, self.assoc),
-            );
+            let w = self
+                .policy
+                .choose_victim_in(self.last_order.row(base, self.assoc));
             let i = base + w;
             let old = self.meta_at(i);
             (
@@ -310,7 +286,6 @@ impl Cache {
         };
         self.tags.set(i, tag.raw());
         self.flags[i] = if prefetched { FLAG_PREFETCHED } else { 0 };
-        self.fill_order.set(i, self.order);
         self.last_order.set(i, self.order);
         evicted
     }
@@ -342,20 +317,6 @@ impl Cache {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Removes a line if resident, returning its metadata.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<LineMeta> {
-        let (tag, set) = self.geom.split_line(line);
-        match self.find(tag, set) {
-            Some(i) => {
-                self.occupied -= 1;
-                self.epoch += 1;
-                self.valid[set.as_usize()] &= !(1 << (i - set.as_usize() * self.assoc));
-                Some(self.meta_at(i))
-            }
-            None => None,
         }
     }
 
@@ -396,7 +357,7 @@ mod tests {
         assert_eq!(c.access(line, false), AccessOutcome::Miss);
         assert!(c.fill(line, false).is_none());
         assert!(matches!(c.access(line, false), AccessOutcome::Hit { .. }));
-        assert_eq!(c.occupied_lines(), 1);
+        assert_eq!(c.iter().count(), 1);
     }
 
     #[test]
@@ -409,7 +370,7 @@ mod tests {
         assert_eq!(ev.line, a);
         assert!(!c.contains(a));
         assert!(c.contains(b));
-        assert_eq!(c.occupied_lines(), 1);
+        assert_eq!(c.iter().count(), 1);
     }
 
     #[test]
@@ -466,7 +427,7 @@ mod tests {
         let line = c.geometry().line_addr(Addr::new(0));
         c.fill(line, false);
         assert!(c.fill(line, true).is_none());
-        assert_eq!(c.occupied_lines(), 1);
+        assert_eq!(c.iter().count(), 1);
         // Refill must not clear the demand/prefetch state into a prefetch credit.
         assert_eq!(
             c.access(line, false),
@@ -477,38 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
-        let mut c = dm_l1();
-        let line = c.geometry().line_addr(Addr::new(0x4000));
-        c.fill(line, false);
-        assert!(c.invalidate(line).is_some());
-        assert!(!c.contains(line));
-        assert!(c.invalidate(line).is_none());
-        assert_eq!(c.occupied_lines(), 0);
-    }
-
-    #[test]
-    fn refill_after_invalidate_reuses_the_hole() {
-        let mut c = small_4way();
-        let g = *c.geometry();
-        let lines: Vec<_> = (0..5).map(|i| g.line_addr(Addr::new(i * 64))).collect();
-        for l in &lines[..4] {
-            c.fill(*l, false);
-        }
-        c.invalidate(lines[1]);
-        // The freed way (lowest empty) takes the next fill: no eviction.
-        assert!(c.fill(lines[4], false).is_none());
-        assert_eq!(c.occupied_lines(), 4);
-        assert!(c.contains(lines[4]));
-    }
-
-    #[test]
     fn peek_reports_metadata() {
         let mut c = dm_l1();
         let line = c.geometry().line_addr(Addr::new(0x5000));
-        assert!(c.peek(line).is_none());
+        assert_eq!(c.iter().count(), 0);
         c.fill(line, true);
-        let m = c.peek(line).expect("resident");
+        let (l, m) = c.iter().next().expect("resident");
+        assert_eq!(l, line);
         assert!(m.prefetched && !m.demanded && !m.dirty);
     }
 

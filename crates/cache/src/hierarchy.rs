@@ -269,6 +269,10 @@ impl std::fmt::Debug for MemoryHierarchy {
 
 impl MemoryHierarchy {
     /// Builds a hierarchy around a prefetch engine.
+    ///
+    /// `cfg` is not checked here: an impossible machine may panic or
+    /// wedge the simulation, so check it with [`HierarchyConfig::validate`]
+    /// first, as `tcp_sim::Session::new` does.
     pub fn new(cfg: HierarchyConfig, prefetcher: Box<dyn Prefetcher>) -> Self {
         let l1 = Cache::new(cfg.l1d, cfg.l1_replacement);
         let l2 = Cache::new(cfg.l2, cfg.l2_replacement);
@@ -302,20 +306,6 @@ impl MemoryHierarchy {
             scratch: Vec::new(),
             drained: Vec::new(),
         }
-    }
-
-    /// Like [`MemoryHierarchy::new`], but validates `cfg` first instead of
-    /// risking a panic or a wedged simulation on an impossible machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`HierarchyConfig::validate`].
-    pub fn try_new(
-        cfg: HierarchyConfig,
-        prefetcher: Box<dyn Prefetcher>,
-    ) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        Ok(MemoryHierarchy::new(cfg, prefetcher))
     }
 
     /// The hierarchy configuration.
@@ -1257,6 +1247,13 @@ mod tests {
             ),
             (
                 Box::new(|| HierarchyConfig {
+                    l2_latency: 0,
+                    ..HierarchyConfig::default()
+                }),
+                "l2_latency",
+            ),
+            (
+                Box::new(|| HierarchyConfig {
                     l1_bus_cycles: 0,
                     ..HierarchyConfig::default()
                 }),
@@ -1302,18 +1299,6 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::OutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn try_new_rejects_invalid_and_accepts_valid() {
-        let bad = HierarchyConfig {
-            l2_latency: 0,
-            ..HierarchyConfig::default()
-        };
-        assert!(MemoryHierarchy::try_new(bad, Box::new(NullPrefetcher)).is_err());
-        let mut h =
-            MemoryHierarchy::try_new(HierarchyConfig::default(), Box::new(NullPrefetcher)).unwrap();
-        assert_eq!(h.access(load(0x1000), 0).serviced_by, ServicedBy::Memory);
     }
 
     #[test]

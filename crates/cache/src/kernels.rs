@@ -160,7 +160,7 @@ pub fn find_u64_scalar(xs: &[u64], needle: u64) -> Option<usize> {
 /// Returns the index of the first occurrence of the minimum of `xs`, or
 /// 0 when `xs` is empty.
 ///
-/// The victim-select kernel (LRU/FIFO stamps): a branch-free min
+/// The victim-select kernel (LRU recency stamps): a branch-free min
 /// reduction followed by a first-match scan, so the "first strict
 /// minimum wins" tie-break of the replacement policies is preserved.
 #[inline(always)]

@@ -5,7 +5,7 @@
 //! that fill the L2 (and, in the hybrid design of Section 5.2.2, the L1
 //! once the resident line is predicted dead). This module defines that
 //! contract; `tcp-core` implements TCP against it and `tcp-baselines`
-//! implements DBCP, stride, stream-buffer, and Markov comparators.
+//! implements the DBCP and stride comparators.
 
 use tcp_mem::{LineAddr, MemAccess, SetIndex, Tag};
 

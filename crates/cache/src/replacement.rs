@@ -5,16 +5,13 @@ use tcp_mem::SplitMix64;
 
 /// Victim-selection policy within a cache set.
 ///
-/// The paper's caches are LRU (Table 1); FIFO, Random, and tree-PLRU are
-/// provided for ablation studies and for stress-testing prefetcher
-/// robustness against different eviction orders.
+/// The paper's caches are LRU (Table 1); Random and tree-PLRU are the
+/// alternative L2 policies the `ablate` sweep measures.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Replacement {
     /// Evict the least-recently-used way (the paper's configuration).
     #[default]
     Lru,
-    /// Evict the oldest-filled way regardless of use.
-    Fifo,
     /// Evict a pseudo-random way (deterministic, seeded).
     Random(SplitMix64),
     /// Tree pseudo-LRU: the one-bit-per-node approximation real caches
@@ -29,111 +26,33 @@ impl Replacement {
         Replacement::Random(SplitMix64::new(seed))
     }
 
-    /// Chooses a victim way among `ways`, where each element is
-    /// `(fill_order, last_access_order)` for an occupied way.
+    /// Chooses a victim among occupied ways whose last-access order
+    /// stamps are `last` — the cache's contiguous per-set stamp row, so
+    /// LRU runs as a chunked min-reduction ([`kernels::min_index`]).
     ///
-    /// Invalid (empty) ways are handled by the cache before this is called;
-    /// this method only picks among occupied ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is empty.
-    pub fn choose_victim(&mut self, ways: &[(u64, u64)]) -> usize {
-        self.choose_victim_by(ways.len(), |i| ways[i])
-    }
-
-    /// Chooses a victim among occupied ways whose stamps live in the
-    /// parallel struct-of-arrays slices `fill` (fill order) and `last`
-    /// (last-access order) — the form the cache's fused fill pass feeds
-    /// straight from its contiguous per-set stamp rows, letting LRU and
-    /// FIFO run as chunked min-reductions ([`kernels::min_index`]).
-    ///
-    /// Equivalent to [`choose_victim`] on the zipped stamps, including
-    /// the lowest-way tie-break.
-    ///
-    /// [`choose_victim`]: Replacement::choose_victim
+    /// Invalid (empty) ways are handled by the cache before this is
+    /// called; this method only picks among occupied ways. LRU and
+    /// tree-PLRU ties break toward the lowest way index.
     ///
     /// # Panics
     ///
-    /// Panics if the slices are empty or of different lengths.
+    /// Panics if `last` is empty.
     #[inline]
-    pub fn choose_victim_in(&mut self, fill: &[u64], last: &[u64]) -> usize {
-        assert_eq!(fill.len(), last.len(), "stamp slices must be parallel");
-        assert!(!fill.is_empty(), "cannot choose a victim among zero ways");
+    pub fn choose_victim_in(&mut self, last: &[u64]) -> usize {
+        assert!(!last.is_empty(), "cannot choose a victim among zero ways");
         match self {
             Replacement::Lru => kernels::min_index(last),
-            Replacement::Fifo => kernels::min_index(fill),
-            Replacement::Random(rng) => rng.next_below(fill.len() as u64) as usize,
+            Replacement::Random(rng) => rng.next_below(last.len() as u64) as usize,
             Replacement::TreePlru => {
+                // Binary descent: at each level keep the half whose most
+                // recent access is older (the half the PLRU bits would
+                // point away from).
                 let mut lo = 0usize;
                 let mut hi = last.len();
                 while hi - lo > 1 {
                     let mid = lo + (hi - lo) / 2;
                     let newest_left = last[lo..mid].iter().copied().max().unwrap_or(0);
                     let newest_right = last[mid..hi].iter().copied().max().unwrap_or(0);
-                    if newest_left <= newest_right {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                lo
-            }
-        }
-    }
-
-    /// Chooses a victim among `n` occupied ways whose
-    /// `(fill_order, last_access_order)` stamps are produced on demand by
-    /// `stamp` — the closure form [`choose_victim`] wraps, for callers
-    /// whose stamps are not contiguous in memory.
-    ///
-    /// Ties break toward the lowest way index for every policy, matching
-    /// [`choose_victim`] exactly.
-    ///
-    /// [`choose_victim`]: Replacement::choose_victim
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn choose_victim_by(&mut self, n: usize, stamp: impl Fn(usize) -> (u64, u64)) -> usize {
-        assert!(n > 0, "cannot choose a victim among zero ways");
-        match self {
-            // First strict minimum wins, as `min_by_key` ties do.
-            Replacement::Lru => {
-                let mut best = 0;
-                let mut best_last = stamp(0).1;
-                for i in 1..n {
-                    let last = stamp(i).1;
-                    if last < best_last {
-                        best = i;
-                        best_last = last;
-                    }
-                }
-                best
-            }
-            Replacement::Fifo => {
-                let mut best = 0;
-                let mut best_fill = stamp(0).0;
-                for i in 1..n {
-                    let fill = stamp(i).0;
-                    if fill < best_fill {
-                        best = i;
-                        best_fill = fill;
-                    }
-                }
-                best
-            }
-            Replacement::Random(rng) => rng.next_below(n as u64) as usize,
-            Replacement::TreePlru => {
-                // Binary descent: at each level keep the half whose most
-                // recent access is older (the half the PLRU bits would
-                // point away from).
-                let mut lo = 0usize;
-                let mut hi = n;
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    let newest_left = (lo..mid).map(|i| stamp(i).1).max().unwrap_or(0);
-                    let newest_right = (mid..hi).map(|i| stamp(i).1).max().unwrap_or(0);
                     if newest_left <= newest_right {
                         hi = mid;
                     } else {
@@ -152,27 +71,17 @@ mod tests {
 
     #[test]
     fn lru_picks_least_recent() {
-        let mut p = Replacement::Lru;
-        // (fill, last_access)
-        let ways = [(0, 5), (1, 2), (2, 9)];
-        assert_eq!(p.choose_victim(&ways), 1);
-    }
-
-    #[test]
-    fn fifo_picks_oldest_fill() {
-        let mut p = Replacement::Fifo;
-        let ways = [(7, 1), (3, 100), (9, 2)];
-        assert_eq!(p.choose_victim(&ways), 1);
+        assert_eq!(Replacement::Lru.choose_victim_in(&[5, 2, 9]), 1);
     }
 
     #[test]
     fn random_is_deterministic_and_in_range() {
         let mut a = Replacement::random(42);
         let mut b = Replacement::random(42);
-        let ways = [(0, 0), (1, 1), (2, 2), (3, 3)];
+        let last = [0, 1, 2, 3];
         for _ in 0..32 {
-            let va = a.choose_victim(&ways);
-            assert_eq!(va, b.choose_victim(&ways));
+            let va = a.choose_victim_in(&last);
+            assert_eq!(va, b.choose_victim_in(&last));
             assert!(va < 4);
         }
     }
@@ -182,17 +91,17 @@ mod tests {
         let mut p = Replacement::TreePlru;
         // Ways 0..3 with recency (5, 9, 1, 2): right half (1, 2) is older,
         // and within it way 2 (recency 1) is chosen.
-        assert_eq!(p.choose_victim(&[(0, 5), (0, 9), (0, 1), (0, 2)]), 2);
+        assert_eq!(p.choose_victim_in(&[5, 9, 1, 2]), 2);
         // All-left-recent: victim comes from the right.
-        assert!(p.choose_victim(&[(0, 10), (0, 11), (0, 1), (0, 3)]) >= 2);
+        assert!(p.choose_victim_in(&[10, 11, 1, 3]) >= 2);
     }
 
     #[test]
     fn tree_plru_matches_lru_for_two_ways() {
         let mut plru = Replacement::TreePlru;
         let mut lru = Replacement::Lru;
-        for ways in [[(0u64, 3u64), (0, 7)], [(0, 9), (0, 2)], [(0, 1), (0, 1)]] {
-            assert_eq!(plru.choose_victim(&ways), lru.choose_victim(&ways));
+        for last in [[3u64, 7], [9, 2], [1, 1]] {
+            assert_eq!(plru.choose_victim_in(&last), lru.choose_victim_in(&last));
         }
     }
 
@@ -200,74 +109,78 @@ mod tests {
     fn tree_plru_never_evicts_the_most_recent_way() {
         let mut p = Replacement::TreePlru;
         for newest in 0..8usize {
-            let ways: Vec<(u64, u64)> = (0..8)
-                .map(|i| (0, if i == newest { 100 } else { i as u64 }))
+            let last: Vec<u64> = (0..8)
+                .map(|i| if i == newest { 100 } else { i as u64 })
                 .collect();
-            assert_ne!(p.choose_victim(&ways), newest, "MRU way must survive");
+            assert_ne!(p.choose_victim_in(&last), newest, "MRU way must survive");
         }
     }
 
     #[test]
     #[should_panic(expected = "zero ways")]
     fn empty_ways_panics() {
-        Replacement::Lru.choose_victim(&[]);
-    }
-
-    #[test]
-    fn by_form_matches_slice_form_including_ties() {
-        let cases: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 5), (1, 2), (2, 9)],
-            vec![(3, 4), (3, 4), (1, 4), (2, 2)],
-            vec![(7, 1)],
-            vec![(5, 5); 8],
-            (0..8).map(|i| (i, (i * 31) % 7)).collect(),
-        ];
-        for ways in &cases {
-            for p in [Replacement::Lru, Replacement::Fifo, Replacement::TreePlru] {
-                let (mut a, mut b) = (p, p);
-                assert_eq!(
-                    a.choose_victim(ways),
-                    b.choose_victim_by(ways.len(), |i| ways[i]),
-                    "{p:?} on {ways:?}"
-                );
-            }
-            let (mut a, mut b) = (Replacement::random(9), Replacement::random(9));
-            assert_eq!(
-                a.choose_victim(ways),
-                b.choose_victim_by(ways.len(), |i| ways[i])
-            );
-        }
-    }
-
-    #[test]
-    fn in_form_matches_slice_form_including_ties() {
-        let cases: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 5), (1, 2), (2, 9)],
-            vec![(3, 4), (3, 4), (1, 4), (2, 2)],
-            vec![(7, 1)],
-            vec![(5, 5); 8],
-            (0..8).map(|i| (i, (i * 31) % 7)).collect(),
-            (0..13).map(|i| ((i * 17) % 5, (i * 13) % 11)).collect(),
-        ];
-        for ways in &cases {
-            let fill: Vec<u64> = ways.iter().map(|w| w.0).collect();
-            let last: Vec<u64> = ways.iter().map(|w| w.1).collect();
-            for p in [Replacement::Lru, Replacement::Fifo, Replacement::TreePlru] {
-                let (mut a, mut b) = (p, p);
-                assert_eq!(
-                    a.choose_victim(ways),
-                    b.choose_victim_in(&fill, &last),
-                    "{p:?} on {ways:?}"
-                );
-            }
-            let (mut a, mut b) = (Replacement::random(9), Replacement::random(9));
-            assert_eq!(a.choose_victim(ways), b.choose_victim_in(&fill, &last));
-        }
+        Replacement::Lru.choose_victim_in(&[]);
     }
 
     #[test]
     #[should_panic(expected = "zero ways")]
     fn in_form_empty_panics() {
-        Replacement::Lru.choose_victim_in(&[], &[]);
+        // The emptiness check runs before any policy arm, so Random never
+        // reaches a draw below zero.
+        Replacement::random(1).choose_victim_in(&[]);
+    }
+
+    /// The obvious statement of each policy, one way at a time.
+    fn reference(policy: &mut Replacement, last: &[u64]) -> usize {
+        match policy {
+            // First strict minimum.
+            Replacement::Lru => {
+                let mut best = 0;
+                for (i, &x) in last.iter().enumerate() {
+                    if x < last[best] {
+                        best = i;
+                    }
+                }
+                best
+            }
+            Replacement::Random(rng) => rng.next_below(last.len() as u64) as usize,
+            // Recurse into the half whose newest stamp is older; the left
+            // half on a tie.
+            Replacement::TreePlru => {
+                if last.len() == 1 {
+                    return 0;
+                }
+                let (left, right) = last.split_at(last.len() / 2);
+                let newest = |half: &[u64]| half.iter().copied().max().unwrap();
+                if newest(left) <= newest(right) {
+                    reference(policy, left)
+                } else {
+                    left.len() + reference(policy, right)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_form_matches_naive_reference_including_ties() {
+        let mut rng = SplitMix64::new(0x5eed);
+        for case in 0..2_000 {
+            let ways = 1 + rng.next_below(64) as usize;
+            // A small stamp range forces many ties within a row.
+            let range = 1 + rng.next_below(if case % 2 == 0 { 4 } else { 1 << 20 });
+            let last: Vec<u64> = (0..ways).map(|_| rng.next_below(range)).collect();
+            for p in [
+                Replacement::Lru,
+                Replacement::TreePlru,
+                Replacement::random(9),
+            ] {
+                let (mut fast, mut slow) = (p, p);
+                assert_eq!(
+                    fast.choose_victim_in(&last),
+                    reference(&mut slow, &last),
+                    "{p:?} on {last:?}"
+                );
+            }
+        }
     }
 }

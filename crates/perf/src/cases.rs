@@ -108,10 +108,9 @@ fn hierarchy_access(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let bench = find_bench("gzip");
     let accesses = accesses_of(&bench, n_ops);
     let cfg = SystemConfig::table1();
-    // The closure returns a checksum of completion times — a free
-    // determinism check — not a cycle count, so the cycles field is
-    // cleared before reporting.
-    let mut r = measure(
+    // The checksum sums completion times: a free determinism check, but
+    // not a cycle count.
+    measure(
         "hierarchy_access",
         "accesses",
         accesses.len() as u64,
@@ -125,9 +124,7 @@ fn hierarchy_access(smoke: bool, opts: MeasureOpts) -> CaseResult {
             }
             checksum
         },
-    );
-    r.sim_cycles_per_rep = 0;
-    r
+    )
 }
 
 /// Extracts the L1 miss stream of `bench` as prefetcher-visible events.
@@ -150,7 +147,7 @@ fn tcp_train_lookup(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let infos = miss_infos(&find_bench("art"), n_ops);
     assert!(!infos.is_empty(), "art must produce L1 misses");
     // Returns the emitted-prefetch count as a determinism checksum.
-    let mut r = measure(
+    measure(
         "tcp_train_lookup",
         "misses",
         infos.len() as u64,
@@ -166,16 +163,14 @@ fn tcp_train_lookup(smoke: bool, opts: MeasureOpts) -> CaseResult {
             }
             emitted
         },
-    );
-    r.sim_cycles_per_rep = 0;
-    r
+    )
 }
 
 fn ooo_core(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let n_ops: u64 = if smoke { 60_000 } else { 400_000 };
     let ops: Vec<MicroOp> = find_bench("gzip").generator(n_ops).collect();
     let cfg = SystemConfig::table1();
-    measure("ooo_core", "uops", ops.len() as u64, opts, || {
+    let r = measure("ooo_core", "uops", ops.len() as u64, opts, || {
         let mut session = Session::new(
             "gzip",
             &cfg,
@@ -188,7 +183,11 @@ fn ooo_core(smoke: bool, opts: MeasureOpts) -> CaseResult {
             .feed(ops.iter().copied())
             .expect("gzip never wedges Table 1");
         session.cycles()
-    })
+    });
+    CaseResult {
+        checksum_is_cycles: true,
+        ..r
+    }
 }
 
 /// Inner decode passes per measured rep for the `trace_decode` /
@@ -263,7 +262,7 @@ fn multi_tenant_interleave(smoke: bool, opts: MeasureOpts) -> CaseResult {
     // the bounded rings plus the per-tenant core/hierarchy replay. The
     // closure returns summed tenant cycles, which measure() asserts
     // identical across reps: a free interleaving-determinism check.
-    measure("multi_tenant_interleave", "records", units, opts, || {
+    let r = measure("multi_tenant_interleave", "records", units, opts, || {
         let mut mux = TenantMux::new(cfg, StreamOpts::default());
         for name in &names {
             mux.add_tenant(name, &bytes[..], Box::new(NullPrefetcher));
@@ -275,7 +274,11 @@ fn multi_tenant_interleave(smoke: bool, opts: MeasureOpts) -> CaseResult {
             checksum = checksum.wrapping_add(res.cycles);
         }
         checksum
-    })
+    });
+    CaseResult {
+        checksum_is_cycles: true,
+        ..r
+    }
 }
 
 fn cache_fill_churn(smoke: bool, opts: MeasureOpts) -> CaseResult {
@@ -288,7 +291,7 @@ fn cache_fill_churn(smoke: bool, opts: MeasureOpts) -> CaseResult {
         .map(|i| geom.line_addr(Addr::new(0x0400_0000 + (i % 64) * stride)))
         .collect();
     // Returns the eviction count as a determinism checksum.
-    let mut r = measure(
+    measure(
         "cache_fill_churn",
         "accesses",
         lines.len() as u64,
@@ -305,9 +308,7 @@ fn cache_fill_churn(smoke: bool, opts: MeasureOpts) -> CaseResult {
             }
             evictions
         },
-    );
-    r.sim_cycles_per_rep = 0;
-    r
+    )
 }
 
 /// Workspace sources for the lint cases, loaded once per case outside
@@ -357,39 +358,33 @@ fn lint_parse(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let units = files.len() as u64 * u64::from(LINT_PASSES);
     // The per-pass clone of the source strings is a few MB of memcpy —
     // noise next to lexing + parsing them.
-    let mut r = measure("lint_parse", "files", units, opts, || {
+    measure("lint_parse", "files", units, opts, || {
         (0..LINT_PASSES)
             .map(|_| ParsedWorkspace::parse(files.clone()).token_count())
             .sum()
-    });
-    r.sim_cycles_per_rep = 0;
-    r
+    })
 }
 
 fn lint_semantic(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let files = lint_sources(smoke);
     let units = files.len() as u64 * u64::from(LINT_PASSES);
     let ws = ParsedWorkspace::parse(files);
-    let mut r = measure("lint_semantic", "files", units, opts, || {
+    measure("lint_semantic", "files", units, opts, || {
         (0..LINT_PASSES)
             .map(|_| findings_checksum(&ws.semantic_core()))
             .sum()
-    });
-    r.sim_cycles_per_rep = 0;
-    r
+    })
 }
 
 fn lint_dataflow(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let files = lint_sources(smoke);
     let units = files.len() as u64 * u64::from(LINT_PASSES);
     let ws = ParsedWorkspace::parse(files);
-    let mut r = measure("lint_dataflow", "files", units, opts, || {
+    measure("lint_dataflow", "files", units, opts, || {
         (0..LINT_PASSES)
             .map(|_| findings_checksum(&ws.dataflow()))
             .sum()
-    });
-    r.sim_cycles_per_rep = 0;
-    r
+    })
 }
 
 fn suite_parallel(smoke: bool, opts: MeasureOpts) -> CaseResult {
@@ -402,10 +397,14 @@ fn suite_parallel(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let threads = SweepEngine::new().threads();
     let units = jobs.len() as u64 * n_ops;
     // A fresh engine per rep, so every rep simulates all 26 points.
-    measure("suite_parallel", "uops", units, opts, || {
+    let r = measure("suite_parallel", "uops", units, opts, || {
         let results = SweepEngine::with_threads(threads).run(&jobs);
         results.iter().map(|r| r.cycles).sum()
-    })
+    });
+    CaseResult {
+        checksum_is_cycles: true,
+        ..r
+    }
 }
 
 fn sweep_memoized(smoke: bool, opts: MeasureOpts) -> CaseResult {
@@ -426,14 +425,18 @@ fn sweep_memoized(smoke: bool, opts: MeasureOpts) -> CaseResult {
         .collect();
     let jobs: Vec<Job> = jobs.iter().cycle().take(jobs.len() * 3).cloned().collect();
     let units = jobs.len() as u64 * n_ops;
-    measure("sweep_memoized", "uops", units, opts, || {
+    let r = measure("sweep_memoized", "uops", units, opts, || {
         let engine = SweepEngine::new();
         let results = engine.run(&jobs);
         let stats = engine.stats();
         assert_eq!(stats.requested, jobs.len());
         assert_eq!(stats.executed, jobs.len() / 3, "memo must dedup repeats");
         results.iter().map(|r| r.cycles).sum()
-    })
+    });
+    CaseResult {
+        checksum_is_cycles: true,
+        ..r
+    }
 }
 
 fn memo_store_roundtrip(smoke: bool, opts: MeasureOpts) -> CaseResult {
@@ -456,10 +459,8 @@ fn memo_store_roundtrip(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let results = SweepEngine::new().run(&jobs);
     // The measured region is the store's CPU hot path — canonical JSON
     // emission, FNV checksumming, parsing, and field decoding — without
-    // filesystem noise, so the gate tracks code, not the disk. The
-    // closure returns a checksum (a free determinism check), not a cycle
-    // count, so the cycles field is cleared before reporting.
-    let mut r = measure(
+    // filesystem noise, so the gate tracks code, not the disk.
+    measure(
         "memo_store_roundtrip",
         "records",
         results.len() as u64,
@@ -477,9 +478,7 @@ fn memo_store_roundtrip(smoke: bool, opts: MeasureOpts) -> CaseResult {
             }
             checksum
         },
-    );
-    r.sim_cycles_per_rep = 0;
-    r
+    )
 }
 
 /// Runs every case whose name contains `filter` (all when `None`),
@@ -545,6 +544,21 @@ mod tests {
         // The suite sweep must report simulated throughput.
         let sweep = results.iter().find(|r| r.name == "suite_parallel").unwrap();
         assert!(sweep.sim_cycles_per_sec().unwrap() > 0.0);
+        // Only the cases whose checksum is a cycle count report cycles.
+        let counting: Vec<&str> = results
+            .iter()
+            .filter(|r| r.sim_cycles_per_rep().is_some())
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(
+            counting,
+            [
+                "ooo_core",
+                "multi_tenant_interleave",
+                "suite_parallel",
+                "sweep_memoized"
+            ]
+        );
     }
 
     #[test]

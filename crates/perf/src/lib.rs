@@ -27,9 +27,10 @@
 //!     for i in 0..10_000u64 {
 //!         acc = acc.wrapping_add(i * i);
 //!     }
-//!     0 // no simulated cycles
+//!     7 // the repetition's work checksum
 //! });
 //! assert_eq!(result.reps, 3);
+//! assert_eq!(result.checksum, 7);
 //! assert!(result.median_ops_per_sec() > 0.0);
 //! ```
 
@@ -79,8 +80,12 @@ pub struct CaseResult {
     pub reps: u32,
     /// Wall time of each measured repetition, in milliseconds.
     pub wall_ms: Vec<f64>,
-    /// Simulated cycles per repetition (0 when not meaningful).
-    pub sim_cycles_per_rep: u64,
+    /// What every repetition's `work` returned: a checksum of the case's
+    /// work, equal for two builds that did the same work.
+    pub checksum: u64,
+    /// `true` when [`checksum`](Self::checksum) is the number of
+    /// simulated cycles one repetition covered.
+    pub checksum_is_cycles: bool,
 }
 
 impl CaseResult {
@@ -107,26 +112,31 @@ impl CaseResult {
         median(&self.wall_ms)
     }
 
+    /// Simulated cycles per repetition, or `None` when the checksum is
+    /// not a cycle count.
+    pub fn sim_cycles_per_rep(&self) -> Option<u64> {
+        self.checksum_is_cycles.then_some(self.checksum)
+    }
+
     /// Simulated cycles per wall-clock second at the median repetition,
-    /// or `None` when the case does not simulate cycles.
+    /// or `None` when the checksum is not a cycle count.
     pub fn sim_cycles_per_sec(&self) -> Option<f64> {
-        if self.sim_cycles_per_rep == 0 {
-            return None;
-        }
-        Some(self.sim_cycles_per_rep as f64 / (self.median_wall_ms() / 1e3))
+        self.sim_cycles_per_rep()
+            .map(|c| c as f64 / (self.median_wall_ms() / 1e3))
     }
 }
 
 /// Runs `work` under the warmup/repetition policy and collects wall
-/// times. `work` returns the number of simulated cycles the repetition
-/// covered (0 when that has no meaning for the case); the value must be
-/// identical across repetitions — the harness asserts it, which doubles
-/// as a determinism check on every measured path.
+/// times. `work` returns a checksum of the repetition's work; the value
+/// must be identical across repetitions — the harness asserts it, which
+/// doubles as a determinism check on every measured path. A case whose
+/// checksum counts simulated cycles sets
+/// [`CaseResult::checksum_is_cycles`] on the result.
 ///
 /// # Panics
 ///
-/// Panics if `reps` is zero or if `work` reports different simulated
-/// cycle counts across repetitions (a determinism violation).
+/// Panics if `reps` is zero or if `work` returns different checksums
+/// across repetitions (a determinism violation).
 pub fn measure(
     name: &str,
     unit: &str,
@@ -138,13 +148,13 @@ pub fn measure(
         opts.reps > 0,
         "at least one measured repetition is required"
     );
-    let mut sim_cycles = None;
+    let mut checksum = None;
     for _ in 0..opts.warmup_reps {
         let c = work();
         assert_eq!(
-            *sim_cycles.get_or_insert(c),
+            *checksum.get_or_insert(c),
             c,
-            "{name}: nondeterministic cycle count"
+            "{name}: nondeterministic checksum"
         );
     }
     let mut wall_ms = Vec::with_capacity(opts.reps as usize);
@@ -153,9 +163,9 @@ pub fn measure(
         let c = work();
         let elapsed = start.elapsed();
         assert_eq!(
-            *sim_cycles.get_or_insert(c),
+            *checksum.get_or_insert(c),
             c,
-            "{name}: nondeterministic cycle count"
+            "{name}: nondeterministic checksum"
         );
         wall_ms.push(elapsed.as_secs_f64() * 1e3);
     }
@@ -166,7 +176,8 @@ pub fn measure(
         warmup_reps: opts.warmup_reps,
         reps: opts.reps,
         wall_ms,
-        sim_cycles_per_rep: sim_cycles.unwrap_or(0),
+        checksum: checksum.unwrap_or(0),
+        checksum_is_cycles: false,
     }
 }
 
@@ -237,9 +248,10 @@ impl BenchReport {
                 "      \"p90_wall_ms\": {},\n",
                 json::num(c.p90_wall_ms())
             ));
+            out.push_str(&format!("      \"checksum\": {},\n", c.checksum));
             out.push_str(&format!(
                 "      \"sim_cycles_per_rep\": {},\n",
-                c.sim_cycles_per_rep
+                c.sim_cycles_per_rep().unwrap_or(0)
             ));
             match c.sim_cycles_per_sec() {
                 Some(v) => out.push_str(&format!(
@@ -488,7 +500,8 @@ mod tests {
             warmup_reps: 1,
             reps: wall_ms.len() as u32,
             wall_ms,
-            sim_cycles_per_rep: 0,
+            checksum: 0,
+            checksum_is_cycles: false,
         }
     }
 
@@ -521,7 +534,13 @@ mod tests {
         );
         assert_eq!(calls, 5);
         assert_eq!(r.reps, 3);
-        assert_eq!(r.sim_cycles_per_rep, 42);
+        assert_eq!(r.checksum, 42);
+        assert_eq!(r.sim_cycles_per_sec(), None);
+        let r = CaseResult {
+            checksum_is_cycles: true,
+            ..r
+        };
+        assert_eq!(r.sim_cycles_per_rep(), Some(42));
         assert!(r.sim_cycles_per_sec().unwrap() > 0.0);
     }
 
@@ -549,8 +568,15 @@ mod tests {
         let report = BenchReport {
             mode: "smoke".to_owned(),
             cases: vec![
-                fake_result("a", vec![10.0, 12.0, 11.0]),
-                fake_result("b", vec![5.0]),
+                CaseResult {
+                    checksum: 368_830_779,
+                    ..fake_result("a", vec![10.0, 12.0, 11.0])
+                },
+                CaseResult {
+                    checksum: 46_568,
+                    checksum_is_cycles: true,
+                    ..fake_result("b", vec![5.0])
+                },
             ],
         };
         let doc = json::parse(&report.to_json()).unwrap();
@@ -566,6 +592,17 @@ mod tests {
         // median wall 11ms over 1000 units -> ~90909 ops/s
         let ops = a.get("median_ops_per_sec").and_then(Json::as_f64).unwrap();
         assert!((ops - 1000.0 / 0.011).abs() < 1.0);
+        // Every case reports its checksum; only a cycle count also
+        // reports simulated cycles.
+        let field = |c: &Json, key: &str| c.get(key).and_then(Json::as_f64);
+        assert_eq!(field(a, "checksum"), Some(368_830_779.0));
+        assert_eq!(field(a, "sim_cycles_per_rep"), Some(0.0));
+        assert_eq!(a.get("sim_cycles_per_sec"), Some(&Json::Null));
+        let b = &cases[1];
+        assert_eq!(field(b, "checksum"), Some(46_568.0));
+        assert_eq!(field(b, "sim_cycles_per_rep"), Some(46_568.0));
+        // 46,568 cycles in 5 ms.
+        assert!((field(b, "sim_cycles_per_sec").unwrap() - 46_568.0 / 0.005).abs() < 1.0);
     }
 
     #[test]

@@ -6,13 +6,10 @@
 //!
 //! Shows how to assemble your own workload from the kernel library — here
 //! a database-like mix of a repeating index chase and a table scan — and
-//! race every prefetcher in the workspace on it: next-line, stride,
-//! stream buffers, Markov, DBCP, TCP-8K, TCP-8M, and the hybrid.
+//! race every prefetcher in the workspace on it: stride, DBCP, TCP-8K,
+//! TCP-8M, and the hybrid.
 
-use tcp_repro::baselines::{
-    Dbcp, DbcpConfig, MarkovConfig, MarkovPrefetcher, NextLinePrefetcher, StreamBufferConfig,
-    StreamBufferPrefetcher, StrideConfig, StridePrefetcher,
-};
+use tcp_repro::baselines::{Dbcp, DbcpConfig, StrideConfig, StridePrefetcher};
 use tcp_repro::cache::{NullPrefetcher, Prefetcher};
 use tcp_repro::core::{DbpConfig, HybridTcp, Tcp, TcpConfig};
 use tcp_repro::sim::{ipc_improvement, run_benchmark, SystemConfig};
@@ -84,17 +81,8 @@ fn main() {
     );
 
     let entries: Vec<(Box<dyn Prefetcher>, &SystemConfig)> = vec![
-        (Box::new(NextLinePrefetcher::new(1)), &machine),
         (
             Box::new(StridePrefetcher::new(StrideConfig::default())),
-            &machine,
-        ),
-        (
-            Box::new(StreamBufferPrefetcher::new(StreamBufferConfig::default())),
-            &machine,
-        ),
-        (
-            Box::new(MarkovPrefetcher::new(MarkovConfig::default())),
             &machine,
         ),
         (Box::new(Dbcp::new(DbcpConfig::dbcp_2m())), &machine),

@@ -1,10 +1,7 @@
 //! Property-based tests for the baseline prefetchers.
 
 use proptest::prelude::*;
-use tcp_baselines::{
-    Dbcp, DbcpConfig, MarkovConfig, MarkovPrefetcher, NextLinePrefetcher, StreamBufferConfig,
-    StreamBufferPrefetcher, StrideConfig, StridePrefetcher,
-};
+use tcp_baselines::{Dbcp, DbcpConfig, StrideConfig, StridePrefetcher};
 use tcp_cache::{L1MissInfo, PrefetchRequest, Prefetcher};
 use tcp_mem::{Addr, CacheGeometry, MemAccess};
 
@@ -32,10 +29,7 @@ proptest! {
     #[test]
     fn every_engine_is_deterministic(misses in prop::collection::vec((0u64..4096, 0u64..(1 << 26)), 1..150)) {
         let engines: Vec<fn() -> Box<dyn Prefetcher>> = vec![
-            || Box::new(NextLinePrefetcher::new(2)),
             || Box::new(StridePrefetcher::new(StrideConfig::default())),
-            || Box::new(StreamBufferPrefetcher::new(StreamBufferConfig::default())),
-            || Box::new(MarkovPrefetcher::new(MarkovConfig { table_bytes: 64 * 1024, targets_per_entry: 2 })),
             || Box::new(Dbcp::new(DbcpConfig { table_bytes: 64 * 1024, ..DbcpConfig::dbcp_2m() })),
         ];
         for make in engines {
@@ -51,9 +45,7 @@ proptest! {
         // engine must filter it.
         let g = CacheGeometry::new(32 * 1024, 32, 1);
         let engines: Vec<Box<dyn Prefetcher>> = vec![
-            Box::new(NextLinePrefetcher::new(1)),
             Box::new(StridePrefetcher::new(StrideConfig::default())),
-            Box::new(MarkovPrefetcher::new(MarkovConfig { table_bytes: 64 * 1024, targets_per_entry: 2 })),
             Box::new(Dbcp::new(DbcpConfig { table_bytes: 64 * 1024, ..DbcpConfig::dbcp_2m() })),
         ];
         for mut e in engines {
@@ -70,29 +62,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn stream_buffers_cover_pure_sequences(start in 0u64..(1 << 20), len in 8u64..64) {
-        let mut e = StreamBufferPrefetcher::new(StreamBufferConfig::default());
-        let misses: Vec<(u64, u64)> = (0..len).map(|i| (0x400, (start + i) * 32)).collect();
-        let prefetched = drive(&mut e, &misses);
-        // After the allocation, every subsequent miss line was prefetched
-        // ahead of time.
-        for i in 2..len {
-            prop_assert!(
-                prefetched.contains(&(start + i)),
-                "line {} of the stream never prefetched",
-                i
-            );
-        }
-    }
-
-    #[test]
-    fn markov_storage_respects_budget(bytes in 64usize..262_144) {
-        let e = MarkovPrefetcher::new(MarkovConfig { table_bytes: bytes, targets_per_entry: 2 });
-        prop_assert!(e.storage_bytes() <= bytes);
-        prop_assert!(e.capacity() >= 1);
     }
 
     #[test]

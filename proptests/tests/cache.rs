@@ -20,7 +20,7 @@ proptest! {
         for (i, &a) in addrs.iter().enumerate() {
             let line = g.line_addr(Addr::new(a));
             c.fill(line, i as u64, i % 3 == 0);
-            prop_assert!(c.occupied_lines() <= 16);
+            prop_assert!(c.iter().count() <= 16);
         }
     }
 
@@ -41,15 +41,18 @@ proptest! {
     }
 
     #[test]
-    fn iter_matches_occupancy(addrs in prop::collection::vec(0u64..8192, 1..150)) {
+    fn iter_reports_each_resident_line_once(addrs in prop::collection::vec(0u64..8192, 1..150)) {
         let mut c = small_cache();
         let g = *c.geometry();
         for (i, &a) in addrs.iter().enumerate() {
             c.fill(g.line_addr(Addr::new(a)), i as u64, false);
         }
-        prop_assert_eq!(c.iter().count() as u64, c.occupied_lines());
+        let mut lines: Vec<_> = c.iter().map(|(l, _)| l).collect();
+        let reported = lines.len();
+        lines.sort();
+        lines.dedup();
+        prop_assert_eq!(lines.len(), reported);
         // Every reported line is found by contains().
-        let lines: Vec<_> = c.iter().map(|(l, _)| l).collect();
         for l in lines {
             prop_assert!(c.contains(l));
         }

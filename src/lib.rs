@@ -16,7 +16,7 @@
 //! | [`cpu`] | `tcp-cpu` | out-of-order core timing model |
 //! | [`workloads`] | `tcp-workloads` | 26 SPEC2000-like benchmark generators |
 //! | [`core`] | `tcp-core` | **TCP**: THT, PHT, hybrid, dead-block predictor |
-//! | [`baselines`] | `tcp-baselines` | DBCP, stride, stream buffers, Markov |
+//! | [`baselines`] | `tcp-baselines` | DBCP, stride |
 //! | [`analysis`] | `tcp-analysis` | miss-stream censuses (Figures 2–7, 15) |
 //! | [`sim`] | `tcp-sim` | full-system runner (Table 1 machine) |
 //! | [`experiments`] | `tcp-experiments` | per-figure regeneration harness |

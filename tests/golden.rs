@@ -4,7 +4,7 @@
 //! update them only deliberately, alongside re-validating EXPERIMENTS.md.
 
 use tcp_repro::analysis::{miss_stream, MissRecord};
-use tcp_repro::cache::{NullPrefetcher, Prefetcher};
+use tcp_repro::cache::{NullPrefetcher, Prefetcher, Replacement};
 use tcp_repro::core::{Tcp, TcpConfig};
 use tcp_repro::experiments::characterize::characterize;
 use tcp_repro::sim::stream::replay_records;
@@ -139,6 +139,57 @@ fn replay_timing_matches_golden_values() {
             got, want,
             "{name} {engine}: (cycles, MSHR stall cycles, L2 demand misses, \
              prefetches issued, prefetches dropped, prefetched extra) drifted"
+        );
+    }
+}
+
+/// (benchmark, engine, L2 policy, cycles, L2 demand misses, L2
+/// writebacks, prefetched original) at 200k ops for the three L2
+/// replacement policies `ablate` sweeps, `random(7)` being its seed.
+/// `all` with no selector never runs `ablate`, so these rows are what
+/// pins a non-LRU policy at the system level. Every tree-PLRU and random
+/// row differs from its LRU row: a policy that falls back to LRU fails.
+const L2_POLICY_GOLDEN: &[(&str, &str, &str, [u64; 4])] = &[
+    ("gcc", "none", "lru", [1642223, 26663, 1935, 0]),
+    ("gcc", "none", "tree-plru", [1618106, 26311, 1924, 0]),
+    ("gcc", "none", "random", [1485083, 24353, 1649, 0]),
+    ("gcc", "TCP-8K", "lru", [1610605, 25728, 1979, 3670]),
+    ("gcc", "TCP-8K", "tree-plru", [1590869, 25425, 1956, 3654]),
+    ("gcc", "TCP-8K", "random", [1449827, 23347, 1778, 3512]),
+    ("swim", "none", "lru", [158584, 14393, 3480, 0]),
+    ("swim", "none", "tree-plru", [158310, 14393, 3436, 0]),
+    ("swim", "none", "random", [155542, 14392, 2639, 0]),
+    ("swim", "TCP-8K", "lru", [138928, 9779, 3480, 4614]),
+    ("swim", "TCP-8K", "tree-plru", [138761, 9779, 3446, 4614]),
+    ("swim", "TCP-8K", "random", [135848, 9764, 2632, 4628]),
+];
+
+#[test]
+fn l2_replacement_matches_golden_values() {
+    for &(name, engine, policy, want) in L2_POLICY_GOLDEN {
+        let mut cfg = SystemConfig::table1();
+        cfg.hierarchy.l2_replacement = match policy {
+            "lru" => Replacement::Lru,
+            "tree-plru" => Replacement::TreePlru,
+            _ => Replacement::random(7),
+        };
+        let prefetcher: Box<dyn Prefetcher> = match engine {
+            "none" => Box::new(NullPrefetcher),
+            _ => Box::new(Tcp::new(TcpConfig::tcp_8k())),
+        };
+        let b = suite().into_iter().find(|b| b.name == name).unwrap();
+        let r = run_benchmark(&b, 200_000, &cfg, prefetcher);
+        let s = &r.stats;
+        let got = [
+            r.cycles,
+            s.l2_demand_misses,
+            s.l2_writebacks,
+            s.l2_breakdown.prefetched_original,
+        ];
+        assert_eq!(
+            got, want,
+            "{name} {engine} l2={policy}: (cycles, L2 demand misses, \
+             L2 writebacks, prefetched original) drifted"
         );
     }
 }
