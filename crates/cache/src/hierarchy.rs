@@ -12,7 +12,6 @@
 //! (possibly dedicated) prefetch bus.
 
 use crate::cache::AccessOutcome;
-use crate::mshr::InflightFill;
 use crate::{
     Bus, Cache, ConfigError, HierarchyStats, L1MissInfo, MshrFile, PrefetchRequest, PrefetchTarget,
     Prefetcher, Replacement, Tlb, TlbConfig, VictimCache,
@@ -254,7 +253,6 @@ pub struct MemoryHierarchy {
     engine_active: bool,
     stats: HierarchyStats,
     scratch: Vec<PrefetchRequest>,
-    drained: Vec<(LineAddr, InflightFill)>,
 }
 
 impl std::fmt::Debug for MemoryHierarchy {
@@ -304,7 +302,6 @@ impl MemoryHierarchy {
             engine_active,
             stats: HierarchyStats::default(),
             scratch: Vec::new(),
-            drained: Vec::new(),
         }
     }
 
@@ -346,12 +343,11 @@ impl MemoryHierarchy {
         {
             return;
         }
-        // One drain buffer is reused across all accesses (take/restore so
-        // the loop bodies below can borrow `self` mutably).
-        let mut drained = std::mem::take(&mut self.drained);
         // L2 fills first: an L1 fill may logically depend on the L2 copy.
-        self.l2_fills.drain_ready_into(now, &mut drained);
-        for &(line, fill) in &drained {
+        // Fills land one at a time straight off each file's head; no
+        // landing reads the file it came from, so this equals landing a
+        // drained batch.
+        while let Some((line, fill)) = self.l2_fills.pop_ready(now) {
             if fill.is_prefetch {
                 self.inflight_prefetches = self.inflight_prefetches.saturating_sub(1);
             }
@@ -370,15 +366,12 @@ impl MemoryHierarchy {
                 }
             }
         }
-        self.l1_fills.drain_ready_into(now, &mut drained);
-        for &(line, fill) in &drained {
+        while let Some((line, fill)) = self.l1_fills.pop_ready(now) {
             if self.cfg.store_buffer_entries.is_some() {
                 self.store_fills.remove(&line);
             }
             self.fill_l1(line, fill.ready_at, false, fill.dirty, false);
         }
-        drained.clear();
-        self.drained = drained;
         if !self.promotions.is_empty() {
             let mut i = 0;
             while i < self.promotions.len() {

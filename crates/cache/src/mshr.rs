@@ -27,13 +27,19 @@ pub struct InflightFill {
 /// The file holds at most `capacity` entries — 64 on the Table 1 machine
 /// — stored struct-of-arrays in completion order: the live entries
 /// `head..` ascend by `(ready_at, line)`, the order fills land in. So
-/// [`MshrFile::drain_ready_into`] (called on every hierarchy access via
-/// `advance`) takes the ready prefix and advances `head`, and the
-/// nothing-is-ready check is one compare against the head entry. An
-/// allocation appends — the usual case, since the buses serialize fills —
-/// or walks back from the tail to its slot. The line numbers sit in their
-/// own dense `u64` array so [`MshrFile::lookup`] (on *every* L1 and L2
-/// miss) is one chunked [`kernels::find_u64`] sweep over the live ones.
+/// [`MshrFile::pop_ready`] (called on every hierarchy access that lands
+/// a fill via `advance`) takes the head entry and advances `head`, and
+/// the nothing-is-ready check is one compare against the head entry. An
+/// allocation appends — the usual case, since the buses serialize fills
+/// — or walks back from the tail to its slot.
+///
+/// [`MshrFile::lookup`] runs on *every* L1 and L2 miss and almost always
+/// misses, so a counting presence filter answers first: one `u32` per
+/// bucket of a Fibonacci hash of the line number, 8 buckets per
+/// register (at least 64), raised by `allocate` and lowered by
+/// `pop_ready`. A zero count proves the line is not in flight; otherwise
+/// one chunked [`kernels::find_u64`] sweep over the live line numbers,
+/// which sit in their own dense `u64` array, gives the answer.
 ///
 /// # Examples
 ///
@@ -45,6 +51,9 @@ pub struct InflightFill {
 /// let l = LineAddr::from_line_number(7);
 /// m.allocate(l, 100, false);
 /// assert_eq!(m.lookup(l).unwrap().ready_at, 100);
+/// assert!(m.pop_ready(99).is_none());
+/// assert_eq!(m.pop_ready(100).map(|(line, _)| line), Some(l));
+/// assert!(m.lookup(l).is_none());
 /// ```
 #[derive(Clone, Debug)]
 pub struct MshrFile {
@@ -52,11 +61,15 @@ pub struct MshrFile {
     /// Line numbers of fills; parallel to `fills`, live from `head`.
     lines: Vec<u64>,
     fills: Vec<InflightFill>,
-    /// First live entry: everything before it has drained. A drain only
+    /// First live entry: everything before it has drained. A pop only
     /// advances it; the dead prefix is dropped once it reaches
     /// `capacity`, so both arrays stay under twice the capacity and the
     /// live entries shift at most once per `capacity` fills drained.
     head: usize,
+    /// Presence filter: live entries per line-number bucket.
+    present: Vec<u32>,
+    /// `64 - log2(present.len())`: keeps a bucket index's top bits.
+    shift: u32,
 }
 
 impl MshrFile {
@@ -67,12 +80,21 @@ impl MshrFile {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
+        let buckets = (8 * capacity).max(64).next_power_of_two();
         MshrFile {
             capacity,
             lines: Vec::with_capacity(2 * capacity),
             fills: Vec::with_capacity(2 * capacity),
             head: 0,
+            present: vec![0; buckets],
+            shift: 64 - buckets.trailing_zeros(),
         }
+    }
+
+    /// The presence-filter bucket of a line number.
+    #[inline]
+    fn bucket(&self, line: u64) -> usize {
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
     /// Number of registers.
@@ -98,17 +120,26 @@ impl MshrFile {
         self.fills.get(self.head).is_some_and(|f| f.ready_at <= now)
     }
 
+    /// Index of `line`'s live entry: the filter first, the sweep only
+    /// when `line`'s bucket is occupied.
+    #[inline]
+    fn position(&self, line: LineAddr) -> Option<usize> {
+        let n = line.line_number();
+        if self.present[self.bucket(n)] == 0 {
+            return None;
+        }
+        kernels::find_u64(&self.lines[self.head..], n).map(|i| self.head + i)
+    }
+
     /// Looks up an in-flight fill for `line`.
     #[inline]
     pub fn lookup(&self, line: LineAddr) -> Option<&InflightFill> {
-        let fills = &self.fills[self.head..];
-        kernels::find_u64(&self.lines[self.head..], line.line_number()).map(|i| &fills[i])
+        self.position(line).map(|i| &self.fills[i])
     }
 
     #[inline]
     fn lookup_mut(&mut self, line: LineAddr) -> Option<&mut InflightFill> {
-        let fills = &mut self.fills[self.head..];
-        kernels::find_u64(&self.lines[self.head..], line.line_number()).map(|i| &mut fills[i])
+        self.position(line).map(|i| &mut self.fills[i])
     }
 
     /// Marks an in-flight fill as demanded (a demand miss merged into it).
@@ -157,6 +188,8 @@ impl MshrFile {
         let at = self.fills.len() - later;
         self.lines.insert(at, key.1);
         self.fills.insert(at, fill);
+        let b = self.bucket(key.1);
+        self.present[b] += 1;
     }
 
     /// Marks an in-flight fill dirty (a store merged into it).
@@ -177,39 +210,29 @@ impl MshrFile {
         self.fills.get(self.head).map(|f| f.ready_at)
     }
 
-    /// Clears `out`, then fills it with every fill whose
-    /// `ready_at <= now`, removing them from the file, in `(ready_at,
-    /// line)` order. `out` is the caller's reusable buffer: the
-    /// hierarchy's hot `advance` path drains into one `Vec` for the whole
-    /// run. A drain at `u64::MAX` empties the file.
-    pub fn drain_ready_into(&mut self, now: u64, out: &mut Vec<(LineAddr, InflightFill)>) {
-        out.clear();
-        let ready = self.fills[self.head..]
-            .iter()
-            .take_while(|f| f.ready_at <= now)
-            .count();
-        if ready == 0 {
-            return;
-        }
-        let end = self.head + ready;
-        out.extend(
-            self.lines[self.head..end]
-                .iter()
-                .zip(&self.fills[self.head..end])
-                .map(|(&l, &f)| (LineAddr::from_line_number(l), f)),
-        );
-        self.head = end;
+    /// Removes and returns the earliest fill if it completes by `now`.
+    /// Fills leave in `(ready_at, line)` order, so popping until `None`
+    /// lands every ready fill in the order the hierarchy needs; a pop at
+    /// `u64::MAX` always succeeds while the file is non-empty.
+    #[inline]
+    pub fn pop_ready(&mut self, now: u64) -> Option<(LineAddr, InflightFill)> {
+        let fill = *self.fills.get(self.head).filter(|f| f.ready_at <= now)?;
+        let line = self.lines[self.head];
+        let b = self.bucket(line);
+        self.present[b] -= 1;
+        self.head += 1;
         if self.head == self.fills.len() {
             self.lines.clear();
             self.fills.clear();
             self.head = 0;
         } else if self.head >= self.capacity {
             // At most `capacity` live entries move, once per `capacity`
-            // drained: amortized O(1) per fill.
+            // popped: amortized O(1) per fill.
             self.lines.drain(..self.head);
             self.fills.drain(..self.head);
             self.head = 0;
         }
+        Some((LineAddr::from_line_number(line), fill))
     }
 }
 
@@ -270,36 +293,34 @@ mod tests {
         assert!(!m.mark_demanded(l(6)));
     }
 
+    /// Pops every fill ready by `now`, as `advance` lands them.
+    fn pop_all(m: &mut MshrFile, now: u64) -> Vec<u64> {
+        std::iter::from_fn(|| m.pop_ready(now))
+            .map(|(a, _)| a.line_number())
+            .collect()
+    }
+
     #[test]
     fn drain_ready_is_ordered_and_partial() {
         let mut m = MshrFile::new(8);
         m.allocate(l(1), 30, false);
         m.allocate(l(2), 10, false);
         m.allocate(l(3), 20, true);
-        let mut drained = Vec::new();
-        m.drain_ready_into(25, &mut drained);
-        assert_eq!(
-            drained
-                .iter()
-                .map(|(a, _)| a.line_number())
-                .collect::<Vec<_>>(),
-            vec![2, 3]
-        );
+        assert_eq!(pop_all(&mut m, 25), vec![2, 3]);
         assert_eq!(m.in_use(), 1);
         assert_eq!(m.earliest_ready(), Some(30));
+        assert!(m.lookup(l(2)).is_none() && m.lookup(l(1)).is_some());
     }
 
     #[test]
-    fn drain_ready_into_reuses_and_clears_the_buffer() {
+    fn pop_ready_waits_for_the_head() {
         let mut m = MshrFile::new(4);
         m.allocate(l(1), 10, false);
-        let mut buf = vec![(l(99), m.lookup(l(1)).copied().unwrap())];
-        m.drain_ready_into(5, &mut buf);
-        assert!(buf.is_empty(), "stale contents must be cleared");
+        assert!(m.pop_ready(5).is_none());
         assert!(m.has_ready(10));
-        m.drain_ready_into(10, &mut buf);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf[0].0, l(1));
+        let (line, fill) = m.pop_ready(10).unwrap();
+        assert_eq!((line, fill.ready_at), (l(1), 10));
+        assert!(m.pop_ready(u64::MAX).is_none());
         assert!(!m.has_ready(u64::MAX - 1));
     }
 
@@ -308,10 +329,33 @@ mod tests {
         let mut m = MshrFile::new(4);
         m.allocate(l(1), 5, false);
         m.allocate(l(2), 6, false);
-        let mut drained = Vec::new();
-        m.drain_ready_into(u64::MAX, &mut drained);
-        assert_eq!(drained.len(), 2);
+        assert_eq!(pop_all(&mut m, u64::MAX), vec![1, 2]);
         assert_eq!(m.in_use(), 0);
         assert_eq!(m.earliest_ready(), None);
+    }
+
+    #[test]
+    fn filter_sizes_by_capacity() {
+        for (capacity, buckets) in [(1, 64), (4, 64), (9, 128), (64, 512), (128, 1024)] {
+            let m = MshrFile::new(capacity);
+            assert_eq!(m.present.len(), buckets, "capacity {capacity}");
+            assert!((0..4096).all(|n| m.bucket(n) < buckets));
+        }
+    }
+
+    #[test]
+    fn filter_collisions_fall_through_to_the_sweep() {
+        let mut m = MshrFile::new(64);
+        let b = m.bucket(3);
+        let twin = (4..).find(|&n| m.bucket(n) == b).unwrap();
+        m.allocate(l(3), 10, false);
+        assert!(m.lookup(l(twin)).is_none(), "a shared bucket is not a hit");
+        m.allocate(l(twin), 20, false);
+        assert_eq!(m.present[b], 2);
+        assert_eq!(pop_all(&mut m, 10), vec![3]);
+        assert!(m.lookup(l(3)).is_none());
+        assert_eq!(m.lookup(l(twin)).unwrap().ready_at, 20);
+        assert_eq!(pop_all(&mut m, 20), vec![twin]);
+        assert!(m.present.iter().all(|&c| c == 0));
     }
 }

@@ -4,7 +4,7 @@
 //! drain, collects every ready fill and sorts the batch by
 //! `(ready_at, line)` — the order the hierarchy lands fills in. Seeded
 //! `SplitMix64` streams of `allocate`, `lookup`, `mark_demanded`,
-//! `mark_dirty`, `drain_ready_into`, `earliest_ready`, `has_ready`,
+//! `mark_dirty`, `pop_ready` until `None`, `earliest_ready`, `has_ready`,
 //! `in_use` and `is_full` drive both files over small line alphabets, with
 //! completion cycles that arrive out of order and tie, and drains that
 //! empty the file. Every answer must agree; a failure names its seed and
@@ -37,13 +37,12 @@ macro_rules! fill {
     }};
 }
 
-/// `(line number, fill)` pairs of a drain buffer.
-macro_rules! drained {
-    ($out:expr) => {
-        $out.iter()
-            .map(|(l, f)| (l.line_number(), fill!(f)))
-            .collect::<Vec<(u64, Fill)>>()
-    };
+/// Pops every fill ready by `now`, one at a time as the hierarchy lands
+/// them, as `(line number, fill)` pairs.
+fn pop_ready_all(mshr: &mut MshrFile, now: u64) -> Vec<(u64, Fill)> {
+    std::iter::from_fn(|| mshr.pop_ready(now))
+        .map(|(l, f)| (l.line_number(), fill!(f)))
+        .collect()
 }
 
 /// The naive MSHR file: an unordered list of `(line, fill)`.
@@ -119,7 +118,6 @@ fn differential(capacity: usize, arrivals: Arrivals, seed: u64, steps: usize) {
     let mut rng = SplitMix64::new(seed);
     let mut mshr = MshrFile::new(capacity);
     let mut reference = RefMshr::new(capacity);
-    let mut out = Vec::new();
     let alphabet = 2 * capacity as u64 + 3;
     let mut now = 0u64;
     let mut last_ready = 0u64;
@@ -185,9 +183,8 @@ fn differential(capacity: usize, arrivals: Arrivals, seed: u64, steps: usize) {
                 } else {
                     now
                 };
-                mshr.drain_ready_into(at, &mut out);
                 let want = reference.drain_ready(at);
-                assert_eq!(drained!(out), want, "drain_ready_into({at}), {ctx}");
+                assert_eq!(pop_ready_all(&mut mshr, at), want, "pop_ready({at}), {ctx}");
                 drained += want.len() as u64;
             }
             _ => {}
@@ -203,9 +200,12 @@ fn differential(capacity: usize, arrivals: Arrivals, seed: u64, steps: usize) {
     }
     let ctx = format!("capacity {capacity} {arrivals:?} seed {seed:#x}");
     // The end-of-run drain lands everything still in flight.
-    mshr.drain_ready_into(u64::MAX, &mut out);
     let want = reference.drain_ready(u64::MAX);
-    assert_eq!(drained!(out), want, "final drain, {ctx}");
+    assert_eq!(
+        pop_ready_all(&mut mshr, u64::MAX),
+        want,
+        "final drain, {ctx}"
+    );
     assert_eq!(mshr.in_use(), 0, "final drain empties, {ctx}");
     assert_eq!(mshr.earliest_ready(), None, "final drain empties, {ctx}");
     drained += want.len() as u64;
@@ -256,11 +256,9 @@ fn fills_ready_together_drain_by_line() {
     for (line, ready_at) in [(9, 40), (3, 40), (7, 10), (1, 40), (5, 10)] {
         mshr.allocate(LineAddr::from_line_number(line), ready_at, false);
     }
-    let mut out = Vec::new();
-    mshr.drain_ready_into(u64::MAX, &mut out);
-    let order: Vec<(u64, u64)> = out
-        .iter()
-        .map(|(l, f)| (f.ready_at, l.line_number()))
+    let order: Vec<(u64, u64)> = pop_ready_all(&mut mshr, u64::MAX)
+        .into_iter()
+        .map(|(l, f)| (f.ready_at, l))
         .collect();
     assert_eq!(order, vec![(10, 5), (10, 7), (40, 1), (40, 3), (40, 9)]);
     assert_eq!(mshr.in_use(), 0);

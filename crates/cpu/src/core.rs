@@ -148,70 +148,101 @@ impl CoreRun {
     }
 }
 
-/// Ring capacity for [`CycleBuckets`]: must be a power of two, and large
-/// enough that an op's issue cycle is almost never `RING` or more ahead
-/// of another still-live booked cycle (Table 1 latencies put that gap in
-/// the low hundreds of cycles).
+/// Ring capacity for [`SchedulerRing`]: must be a power of two, and
+/// large enough that an op's issue cycle is almost never `RING` or more
+/// ahead of another still-live booked cycle (Table 1 latencies put that
+/// gap in the low hundreds of cycles).
 const RING: usize = 4096;
 
-/// Per-cycle resource usage, stored as a stamped ring.
-///
-/// The scheduling loop books issue slots and functional units at cycles
-/// strictly above the core's current fetch cycle, and the fetch cycle
-/// never decreases — so once it passes a cycle, that cycle's counts can
-/// never be read again. Slot `c & (RING-1)` therefore holds a
-/// `(stamp, count)` pair: a stamp at or below the current fetch cycle
-/// marks a dead slot that the next booking may reclaim in place. The rare
-/// live collision (two live cycles `RING` apart, which needs pathological
-/// latency configurations) spills to a hash map, and a cycle's count is
-/// kept entirely in the ring or entirely in the spill — never split — by
-/// folding the spilled count back in when the ring slot is reclaimed.
-#[derive(Debug)]
-struct CycleBuckets {
-    stamps: Vec<u64>,
-    counts: Vec<u32>,
-    overflow: HashMap<u64, u32>,
+/// Index of the issue-slot count in a [`SchedulerRing`] slot; the five
+/// functional-unit pools sit at their [`CoreConfig::pool_of`] indices.
+const ISSUE: usize = 5;
+
+/// One cycle's bookings: its stamp, then the five FU pool counts and the
+/// issue-slot count. 32 B and 32-aligned, so a slot never straddles a
+/// host cache line.
+#[derive(Clone, Copy, Debug, Default)]
+#[repr(align(32))]
+struct Slot {
+    stamp: u64,
+    counts: [u32; 6],
 }
 
-impl Default for CycleBuckets {
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+/// Per-cycle issue-slot and functional-unit usage, stored as one stamped
+/// ring.
+///
+/// The scheduling loop books an issue slot and one functional unit at a
+/// cycle strictly above the core's current fetch cycle, and the fetch
+/// cycle never decreases — so once it passes a cycle, that cycle's counts
+/// can never be read again. Slot `c & (RING-1)` therefore holds cycle
+/// `c`'s stamp and all six counts: a stamp at or below the current fetch
+/// cycle marks a dead slot that the next booking may reclaim in place,
+/// and one stamp check answers both of an op's resources. Every booking
+/// takes an issue slot, so this ring's stamps move exactly as a lone
+/// issue-slot ring's would. The rare live collision (two live cycles
+/// `RING` apart, which needs pathological latency configurations) spills
+/// the cycle's row to a hash map, and a cycle's counts are kept entirely
+/// in the ring or entirely in the spill — never split — by folding the
+/// spilled row back in when the ring slot is reclaimed. The map is read
+/// only when it is non-empty, so a Table 1 run never hashes.
+#[derive(Debug)]
+struct SchedulerRing {
+    slots: Vec<Slot>,
+    overflow: HashMap<u64, [u32; 6]>,
+}
+
+impl Default for SchedulerRing {
     fn default() -> Self {
-        // Stamp 0 with count 0 is naturally dead: bookings and queries
+        // Stamp 0 with zero counts is naturally dead: bookings and queries
         // only happen at cycle >= 1 (fetch cycle + 1 at minimum).
-        CycleBuckets {
-            stamps: vec![0; RING],
-            counts: vec![0; RING],
+        SchedulerRing {
+            slots: vec![Slot::default(); RING],
             overflow: HashMap::new(),
         }
     }
 }
 
-impl CycleBuckets {
+impl SchedulerRing {
+    /// `(issue slots, units of pool)` booked at `cycle`.
     #[inline]
-    fn used_at(&self, cycle: u64) -> u32 {
-        let s = (cycle as usize) & (RING - 1);
-        if self.stamps[s] == cycle {
-            self.counts[s]
+    fn used_at(&self, cycle: u64, pool: usize) -> (u32, u32) {
+        let slot = &self.slots[(cycle as usize) & (RING - 1)];
+        let counts = if slot.stamp == cycle {
+            &slot.counts
         } else if self.overflow.is_empty() {
-            0
+            return (0, 0);
         } else {
-            self.overflow.get(&cycle).copied().unwrap_or(0)
-        }
+            match self.overflow.get(&cycle) {
+                Some(counts) => counts,
+                None => return (0, 0),
+            }
+        };
+        (counts[ISSUE], counts[pool])
     }
 
-    /// Books one resource at `cycle`. `horizon` is the core's current
-    /// fetch cycle; slots stamped at or below it are dead (see the type
-    /// docs) and are reclaimed in place.
+    /// Books one issue slot and one unit of `pool` at `cycle`. `horizon`
+    /// is the core's current fetch cycle; slots stamped at or below it are
+    /// dead (see the type docs) and are reclaimed in place.
     #[inline]
-    fn take(&mut self, cycle: u64, horizon: u64) {
-        let s = (cycle as usize) & (RING - 1);
-        if self.stamps[s] == cycle {
-            self.counts[s] += 1;
-        } else if self.stamps[s] <= horizon {
-            self.stamps[s] = cycle;
-            self.counts[s] = self.overflow.remove(&cycle).unwrap_or(0) + 1;
+    fn take(&mut self, cycle: u64, pool: usize, horizon: u64) {
+        let slot = &mut self.slots[(cycle as usize) & (RING - 1)];
+        let counts = if slot.stamp == cycle {
+            &mut slot.counts
+        } else if slot.stamp <= horizon {
+            slot.stamp = cycle;
+            slot.counts = if self.overflow.is_empty() {
+                [0; 6]
+            } else {
+                self.overflow.remove(&cycle).unwrap_or_default()
+            };
+            &mut slot.counts
         } else {
-            *self.overflow.entry(cycle).or_insert(0) += 1;
-        }
+            self.overflow.entry(cycle).or_default()
+        };
+        counts[ISSUE] += 1;
+        counts[pool] += 1;
     }
 
     fn prune_below(&mut self, horizon: u64) {
@@ -225,6 +256,10 @@ impl CycleBuckets {
 /// with [`SteppedCore::step`] and inspect progress between steps. It is
 /// the only core driver; `tcp-sim`'s `Session` adds the warm-up boundary
 /// and the watchdog on top.
+///
+/// Each op's issue search reads one scheduler ring that holds, per
+/// cycle, the issue-slot count and all five functional-unit pool counts
+/// behind one stamp: 4,096 slots of 32 B, so 128 KiB per core.
 ///
 /// # Examples
 ///
@@ -245,7 +280,7 @@ impl CycleBuckets {
 pub struct SteppedCore {
     cfg: CoreConfig,
     // Scheduling state the interval model threads from op to op: the
-    // rings, per-cycle resource buckets, and front-end status.
+    // rings, per-cycle issue and FU bookings, and front-end status.
     commit_ring: Vec<u64>,
     complete_ring: Vec<u64>,
     fetch_cycle: u64,
@@ -253,8 +288,7 @@ pub struct SteppedCore {
     commit_cycle: u64,
     committed_this_cycle: u32,
     last_commit: u64,
-    issue_slots: CycleBuckets,
-    pools: [CycleBuckets; 5],
+    bookings: SchedulerRing,
     mispredict_rng: tcp_mem::SplitMix64,
     fetch_blocked_until: u64,
     icache: Option<tcp_cache::Cache>,
@@ -286,8 +320,7 @@ impl SteppedCore {
             commit_cycle: 0,
             committed_this_cycle: 0,
             last_commit: 0,
-            issue_slots: CycleBuckets::default(),
-            pools: Default::default(),
+            bookings: SchedulerRing::default(),
             mispredict_rng: tcp_mem::SplitMix64::new(0x00DD_BA11_5EED),
             fetch_blocked_until: 0,
             icache: cfg
@@ -368,15 +401,13 @@ impl SteppedCore {
         let pool_cap = cfg.fu_counts[pool];
         let mut c = ready;
         loop {
-            if self.issue_slots.used_at(c) < cfg.issue_width
-                && self.pools[pool].used_at(c) < pool_cap
-            {
+            let (issued, pooled) = self.bookings.used_at(c, pool);
+            if issued < cfg.issue_width && pooled < pool_cap {
                 break;
             }
             c += 1;
         }
-        self.issue_slots.take(c, fetch_t);
-        self.pools[pool].take(c, fetch_t);
+        self.bookings.take(c, pool, fetch_t);
         let issue_t = c;
 
         // --- Execute / memory access.
@@ -423,10 +454,7 @@ impl SteppedCore {
         self.commit_ring[slot] = target;
 
         if (i + 1).is_multiple_of(65536) {
-            self.issue_slots.prune_below(self.fetch_cycle);
-            for p in &mut self.pools {
-                p.prune_below(self.fetch_cycle);
-            }
+            self.bookings.prune_below(self.fetch_cycle);
         }
         self.i += 1;
     }
@@ -643,6 +671,92 @@ mod tests {
             window: 0,
             ..CoreConfig::default()
         });
+    }
+
+    /// Drives a [`SchedulerRing`] with `steps` seeded bookings and checks
+    /// every count above the horizon against a naive map keyed by
+    /// `(resource, cycle)`. Each step raises the horizon and books a
+    /// random pool in `(horizon, horizon + 3·RING]`; a quarter of the
+    /// bookings land exactly `RING` or `2·RING` from a still-live booked
+    /// cycle, so they spill, and later reclaims fold the spill back.
+    fn ring_matches_reference(seed: u64, steps: usize) {
+        use std::collections::BTreeMap;
+        let ring_span = RING as u64;
+        let mut rng = tcp_mem::SplitMix64::new(seed);
+        let mut ring = SchedulerRing::default();
+        let mut naive: BTreeMap<(usize, u64), u32> = BTreeMap::new();
+        let mut recent: Vec<u64> = Vec::new();
+        let (mut horizon, mut spills, mut folds) = (0u64, 0u64, 0u64);
+        for step in 0..steps {
+            horizon += rng.next_below(6);
+            recent.retain(|&c| c > horizon);
+            let fresh = horizon + 1 + rng.next_below(3 * ring_span);
+            let cycle = match rng.next_below(8) {
+                0 | 1 if !recent.is_empty() => {
+                    let c = recent[rng.next_below(recent.len() as u64) as usize];
+                    let apart = ring_span * (1 + rng.next_below(2));
+                    if c + apart <= horizon + 3 * ring_span {
+                        c + apart
+                    } else {
+                        c.checked_sub(apart).filter(|&d| d > horizon).unwrap_or(c)
+                    }
+                }
+                2 if !recent.is_empty() => recent[rng.next_below(recent.len() as u64) as usize],
+                _ => fresh,
+            };
+            let pool = rng.next_below(5) as usize;
+            let slot = ring.slots[(cycle as usize) & (RING - 1)];
+            if slot.stamp != cycle && slot.stamp > horizon {
+                spills += 1;
+            } else if slot.stamp != cycle && ring.overflow.contains_key(&cycle) {
+                folds += 1;
+            }
+            ring.take(cycle, pool, horizon);
+            for resource in [ISSUE, pool] {
+                *naive.entry((resource, cycle)).or_default() += 1;
+            }
+            recent.push(cycle);
+            if recent.len() > 32 {
+                recent.remove(0);
+            }
+            for q in [
+                cycle,
+                cycle + ring_span,
+                cycle.wrapping_sub(ring_span),
+                fresh,
+            ] {
+                if q <= horizon || q > horizon + 4 * ring_span {
+                    continue;
+                }
+                for p in 0..5 {
+                    let want = (
+                        naive.get(&(ISSUE, q)).copied().unwrap_or(0),
+                        naive.get(&(p, q)).copied().unwrap_or(0),
+                    );
+                    assert_eq!(
+                        ring.used_at(q, p),
+                        want,
+                        "seed {seed:#x} step {step}: (issue, pool {p}) at cycle {q}, \
+                         horizon {horizon}"
+                    );
+                }
+            }
+            if step % 64 == 63 {
+                ring.prune_below(horizon);
+                naive.retain(|&(_, c), _| c > horizon);
+            }
+        }
+        assert!(
+            spills > 0 && folds > 0,
+            "seed {seed:#x}: the stream must spill ({spills}) and fold ({folds})"
+        );
+    }
+
+    #[test]
+    fn scheduler_ring_matches_naive_reference() {
+        for i in 0..16u64 {
+            ring_matches_reference(0x5C4E_D000 + i * 0x9E37_79B9, 3_000);
+        }
     }
 
     #[test]

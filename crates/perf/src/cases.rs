@@ -210,11 +210,13 @@ fn trace_decode(smoke: bool, opts: MeasureOpts) -> CaseResult {
         records.len() as u64 * u64::from(DECODE_PASSES),
         opts,
         || {
+            let mut decoded = 0u64;
             for _ in 0..DECODE_PASSES {
-                let decoded = read_trace(&bytes[..], l1).expect("trace round-trip");
-                assert_eq!(decoded.len(), records.len());
+                let trace = read_trace(&bytes[..], l1).expect("trace round-trip");
+                assert_eq!(trace.len(), records.len());
+                decoded += trace.len() as u64;
             }
-            0
+            decoded
         },
     )
 }
@@ -235,15 +237,17 @@ fn trace_stream_decode(smoke: bool, opts: MeasureOpts) -> CaseResult {
         records.len() as u64 * u64::from(DECODE_PASSES),
         opts,
         || {
+            let mut decoded = 0u64;
             for _ in 0..DECODE_PASSES {
                 let mut reader = TraceReader::new(&bytes[..], l1).expect("healthy trace header");
-                let mut decoded = 0u64;
+                let mut pass = 0u64;
                 while let Some(chunk) = reader.next_chunk().expect("healthy trace payload") {
-                    decoded += chunk.len() as u64;
+                    pass += chunk.len() as u64;
                 }
-                assert_eq!(decoded, records.len() as u64);
+                assert_eq!(pass, records.len() as u64);
+                decoded += pass;
             }
-            0
+            decoded
         },
     )
 }
@@ -571,5 +575,21 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].name, "trace_decode");
         assert_eq!(results[1].name, "trace_stream_decode");
+    }
+
+    #[test]
+    fn decode_cases_report_the_records_they_decode() {
+        let opts = MeasureOpts {
+            warmup_reps: 0,
+            reps: 1,
+        };
+        let results = run_cases(true, Some("decode"), opts, &mut |_| {});
+        let [batch, stream] = &results[..] else {
+            panic!("two decode cases, got {}", results.len());
+        };
+        // Both decode the same trace `DECODE_PASSES` times.
+        assert!(batch.checksum > 0);
+        assert_eq!(batch.checksum % u64::from(DECODE_PASSES), 0);
+        assert_eq!(batch.checksum, stream.checksum);
     }
 }

@@ -19,7 +19,7 @@ proptest! {
         let g = *c.geometry();
         for (i, &a) in addrs.iter().enumerate() {
             let line = g.line_addr(Addr::new(a));
-            c.fill(line, i as u64, i % 3 == 0);
+            c.fill(line, i % 3 == 0);
             prop_assert!(c.iter().count() <= 16);
         }
     }
@@ -28,9 +28,9 @@ proptest! {
     fn filled_line_is_resident_until_evicted(addrs in prop::collection::vec(0u64..4096, 1..100)) {
         let mut c = small_cache();
         let g = *c.geometry();
-        for (i, &a) in addrs.iter().enumerate() {
+        for &a in &addrs {
             let line = g.line_addr(Addr::new(a));
-            let evicted = c.fill(line, i as u64, false);
+            let evicted = c.fill(line, false);
             prop_assert!(c.contains(line));
             if let Some(ev) = evicted {
                 prop_assert!(!c.contains(ev.line));
@@ -44,8 +44,8 @@ proptest! {
     fn iter_reports_each_resident_line_once(addrs in prop::collection::vec(0u64..8192, 1..150)) {
         let mut c = small_cache();
         let g = *c.geometry();
-        for (i, &a) in addrs.iter().enumerate() {
-            c.fill(g.line_addr(Addr::new(a)), i as u64, false);
+        for &a in &addrs {
+            c.fill(g.line_addr(Addr::new(a)), false);
         }
         let mut lines: Vec<_> = c.iter().map(|(l, _)| l).collect();
         let reported = lines.len();
@@ -64,19 +64,18 @@ proptest! {
         // conflicting lines (assoc - 1 of them) must not evict it.
         let mut c = small_cache();
         let g = *c.geometry();
-        for (i, &a) in addrs.iter().enumerate() {
+        for &a in &addrs {
             let line = g.line_addr(Addr::new(a));
-            c.fill(line, i as u64, false);
+            c.fill(line, false);
         }
         let target = g.line_addr(Addr::new(addrs[0]));
-        let t0 = 10_000;
-        c.fill(target, t0, false);
-        c.access(target, false, t0 + 1);
+        c.fill(target, false);
+        c.access(target, false);
         let set = g.split_line(target).1;
         // Fill 3 fresh conflicting tags (4-way set): target stays.
         for j in 0..3u64 {
             let fresh = g.compose(tcp_mem::Tag::new(1000 + j), set);
-            c.fill(fresh, t0 + 2 + j, false);
+            c.fill(fresh, false);
             prop_assert!(c.contains(target));
         }
     }

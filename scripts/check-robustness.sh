@@ -52,6 +52,14 @@ echo "== MSHR differential suite (MshrFile vs naive reference MSHR file) =="
 cargo test -p tcp-cache --test mshr_reference
 
 echo
+echo "== scheduler-ring differential test (SchedulerRing vs naive per-cycle map) =="
+cargo test -p tcp-cpu --lib scheduler_ring_matches_naive_reference
+
+echo
+echo "== scheduler spill golden rows (bookings that spill, are read back and fold) =="
+cargo test --release --test golden scheduler_spill_matches_golden_values
+
+echo
 echo "== JSON codec differential suite (tcp-json vs its verbatim reference codec) =="
 cargo test -p tcp-json --test codec_reference
 

@@ -193,3 +193,46 @@ fn l2_replacement_matches_golden_values() {
         );
     }
 }
+
+/// (benchmark, engine, IntAlu latency, IntAlu units, cycles, L2 demand
+/// misses, prefetches issued) at 40k ops. A multi-thousand-cycle integer
+/// ALU books issue slots and FUs thousands of cycles past the fetch
+/// cycle, so two live cycles `RING` (4,096) apart collide in the core's
+/// scheduler ring and the later booking spills to its overflow map: these
+/// rows pin the spill path, which no Table 1 run reaches. At 3,000 cycles
+/// with eight ALUs a spilled count never reaches a cap; at 4,100 cycles
+/// with two ALUs thousands of bookings spill, are read back and fold into
+/// reclaimed slots, and a count that is dropped or not read changes the
+/// cycle count.
+const SPILL_GOLDEN: &[(&str, &str, u64, u32, [u64; 3])] = &[
+    ("gcc", "none", 3000, 8, [3496252, 7826, 0]),
+    ("gcc", "TCP-8K", 3000, 8, [3493127, 7367, 2736]),
+    ("ammp", "none", 3000, 8, [3798146, 7664, 0]),
+    ("ammp", "TCP-8K", 3000, 8, [3793618, 7310, 1824]),
+    ("gcc", "none", 4100, 2, [4752530, 7826, 0]),
+    ("gcc", "TCP-8K", 4100, 2, [4749399, 7367, 2736]),
+    ("ammp", "none", 4100, 2, [5149010, 7664, 0]),
+    ("ammp", "TCP-8K", 4100, 2, [5144483, 7310, 1824]),
+];
+
+#[test]
+fn scheduler_spill_matches_golden_values() {
+    for &(name, engine, latency, units, want) in SPILL_GOLDEN {
+        let mut cfg = SystemConfig::table1();
+        cfg.core.latencies[0] = latency;
+        cfg.core.fu_counts[0] = units;
+        let prefetcher: Box<dyn Prefetcher> = match engine {
+            "none" => Box::new(NullPrefetcher),
+            _ => Box::new(Tcp::new(TcpConfig::tcp_8k())),
+        };
+        let b = suite().into_iter().find(|b| b.name == name).unwrap();
+        let r = run_benchmark(&b, 40_000, &cfg, prefetcher);
+        let s = &r.stats;
+        let got = [r.cycles, s.l2_demand_misses, s.prefetches_issued];
+        assert_eq!(
+            got, want,
+            "{name} {engine} IntAlu {latency} cycles x{units}: (cycles, L2 demand \
+             misses, prefetches issued) drifted"
+        );
+    }
+}
