@@ -101,7 +101,7 @@ fn plan() -> Vec<PlannedPoint> {
 
 /// Runs all six sweeps through `engine` as one batch: every
 /// (point × benchmark × {baseline, TCP-8K}) simulation fans out across
-/// the work-stealing pool together — the Table 1 points that repeat
+/// the executor's workers together — the Table 1 points that repeat
 /// across knob sweeps (e.g. `mshrs=64` *is* Table 1) dedup in the memo.
 pub fn run_with(engine: &SweepEngine, benches: &[Benchmark], n_ops: u64) -> Vec<AblateSweep> {
     let planned = plan();

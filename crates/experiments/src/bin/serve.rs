@@ -1,18 +1,28 @@
-//! `tcp-serve` — batch sweep service over the persistent memo store.
+//! `tcp-serve` — streaming sweep service over the persistent memo store.
 //!
-//! Reads JSON-lines sweep requests from a file (or stdin with `-`) one
-//! batch at a time, fans each batch through the sweep engine, and streams
-//! one JSON result line per request in submission order. Memory stays
-//! O(batch) however long the input runs, so a long-running client can
-//! feed an unbounded request stream through a pipe — the serving
-//! counterpart of the bounded-memory trace ingestion in
-//! `tcp_sim::stream`. Repeated or previously-simulated requests are
-//! served from the store without re-simulation; malformed requests and
-//! failed jobs get an error line instead of killing the batch.
+//! Reads JSON-lines sweep requests from a file (or stdin with `-`),
+//! streams them through one call of the sweep engine's streaming
+//! executor, and writes one JSON result line per request in submission
+//! order. Each line is written, and stdout flushed, as soon as that
+//! request and every earlier one are answered, so a client on a pipe gets
+//! each answer without closing the pipe or sending more. Input is read on
+//! a thread of its own, at most a bounded read-ahead in front of the
+//! answers, so the requests held at once stay bounded however long the
+//! input runs; what grows with it is the engine's memo, one result per
+//! distinct request. Repeated or previously-simulated requests are
+//! served from the memo or the store without re-simulation; malformed
+//! requests and failed jobs get an error line at their own index instead
+//! of stopping the stream. Input that cannot be read (a line that is not
+//! UTF-8, say) ends the stream: every request before it is answered, then
+//! the process exits 2.
 //!
 //! ```text
 //! tcp-serve [--store DIR] [--threads N] [--batch N] [FILE|-]
 //! ```
+//!
+//! `--batch N` (default 8) spaces the store's checkpoints: the store is
+//! flushed after every N fresh results and once at the end, so a run
+//! flushes ⌈fresh ÷ N⌉ times.
 //!
 //! Request lines look like:
 //!
@@ -31,6 +41,8 @@ use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use tcp_experiments::store::SweepStore;
 use tcp_experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine};
@@ -48,7 +60,11 @@ struct Args {
 }
 
 fn usage() -> String {
-    "usage: tcp-serve [--store DIR] [--threads N] [--batch N] [FILE|-]".to_owned()
+    "usage: tcp-serve [--store DIR] [--threads N] [--batch N] [FILE|-]\n  \
+     --store DIR  persistent result store (default: an ephemeral one)\n  \
+     --threads N  simulation workers (default: available parallelism)\n  \
+     --batch N    fresh results per store checkpoint (default 8)"
+        .to_owned()
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -164,7 +180,7 @@ fn error_line(index: usize, error: &str) -> String {
 
 fn serve(args: &Args) -> Result<usize, String> {
     // Open the input before the store, so a bad path leaves nothing behind.
-    let input: Box<dyn BufRead> = if args.input == "-" {
+    let input: Box<dyn BufRead + Send> = if args.input == "-" {
         Box::new(BufReader::new(std::io::stdin()))
     } else {
         let f = fs::File::open(&args.input).map_err(|e| format!("opening {}: {e}", args.input))?;
@@ -186,7 +202,7 @@ fn serve(args: &Args) -> Result<usize, String> {
                 store.len(),
                 if ephemeral { ", ephemeral" } else { "" },
             );
-            serve_batches(args, input, &mut store)
+            serve_stream(args, input, &mut store)
         });
     // The ephemeral store goes on every exit path, errors included.
     if ephemeral {
@@ -195,19 +211,60 @@ fn serve(args: &Args) -> Result<usize, String> {
     served
 }
 
-/// Answers every request in `input`, one batch at a time, and returns
-/// how many requests failed.
-fn serve_batches(
+/// A request line that never became a job, answered in its place.
+enum NotAJob {
+    /// Not a valid request: the reason, for its error line.
+    Malformed(String),
+    /// The input could not be read here; nothing after it is.
+    Unreadable(std::io::Error),
+}
+
+/// The requests of `input`, one per non-blank line, until the input
+/// ends, a line cannot be read, or `stop` is set.
+fn read_requests(
+    input: Box<dyn BufRead + Send>,
+    stop: Arc<AtomicBool>,
+) -> impl Iterator<Item = Result<Job, NotAJob>> + Send + 'static {
+    let benches: BTreeMap<&str, Benchmark> = suite().into_iter().map(|b| (b.name, b)).collect();
+    let mut lines = input.lines();
+    let mut unreadable = false;
+    std::iter::from_fn(move || {
+        while !unreadable && !stop.load(Ordering::Relaxed) {
+            match lines.next()? {
+                Ok(line) if line.trim().is_empty() => {}
+                Ok(line) => {
+                    return Some(parse_request(&line, &benches).map_err(NotAJob::Malformed))
+                }
+                Err(e) => {
+                    unreadable = true;
+                    return Some(Err(NotAJob::Unreadable(e)));
+                }
+            }
+        }
+        None
+    })
+}
+
+/// Writes one answer line and flushes it, holding the stdout lock only
+/// for the write.
+fn write_line(line: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{line}").map_err(|e| format!("writing stdout: {e}"))?;
+    out.flush().map_err(|e| format!("flushing stdout: {e}"))
+}
+
+/// Answers every request in `input` in one streaming call, writing each
+/// line as soon as it and every earlier one are known, and returns how
+/// many requests failed.
+fn serve_stream(
     args: &Args,
-    input: Box<dyn BufRead>,
+    input: Box<dyn BufRead + Send>,
     store: &mut SweepStore,
 ) -> Result<usize, String> {
     let loaded = store.stats();
     if loaded.total_quarantined() > 0 {
         eprintln!("tcp-serve: quarantined on load: {}", loaded.summary());
     }
-
-    let benches: BTreeMap<&str, Benchmark> = suite().into_iter().map(|b| (b.name, b)).collect();
 
     let engine = if args.threads == 0 {
         SweepEngine::new()
@@ -219,57 +276,41 @@ fn serve_batches(
         ..CheckpointOpts::default()
     };
 
-    let stdout = std::io::stdout();
+    // Set when stdout fails, so no more requests are read for it.
+    let stop = Arc::new(AtomicBool::new(false));
+    let incoming = read_requests(input, Arc::clone(&stop));
     let mut failures = 0usize;
     let mut requests = 0usize;
-    let mut lines = input.lines();
-    // Each slot is a runnable job or the reason it never became one.
-    let mut chunk: Vec<Result<Job, String>> = Vec::with_capacity(args.batch);
-    loop {
-        chunk.clear();
-        while chunk.len() < args.batch {
-            match lines.next() {
-                Some(Ok(line)) if line.trim().is_empty() => {}
-                Some(Ok(line)) => chunk.push(parse_request(&line, &benches)),
-                Some(Err(e)) => return Err(format!("reading {}: {e}", args.input)),
-                None => break,
-            }
-        }
-        if chunk.is_empty() {
-            break;
-        }
-        // Fan the chunk through the engine, which checkpoints the store,
-        // and flush this chunk's lines before the next chunk starts.
-        let jobs: Vec<Job> = chunk
-            .iter()
-            .filter_map(|s| s.as_ref().ok().cloned())
-            .collect();
-        let mut verdicts = engine
-            .run_each(Some(store), &jobs, &opts)
-            .map_err(|e| e.to_string())?
-            .into_iter();
-        // Take the stdout lock only for the write-out, never across a
-        // simulation call (the engine locks its worker deques).
-        let mut out = stdout.lock();
-        for (at, slot) in chunk.iter().enumerate() {
-            let verdict = match slot {
-                Ok(_) => verdicts
-                    .next()
-                    .expect("one verdict per job")
-                    .map_err(|e| e.to_string()),
-                Err(reason) => Err(reason.clone()),
-            };
-            let line = match verdict {
-                Ok(r) => result_line(requests + at, &r),
-                Err(reason) => {
+    // The first stdout failure or unreadable line: the run exits 2.
+    let mut fatal: Option<String> = None;
+    engine
+        .run_stream(Some(store), incoming, &opts, |answer| {
+            let line = match answer {
+                Ok(Ok(r)) => result_line(requests, &r),
+                Ok(Err(e)) => {
                     failures += 1;
-                    error_line(requests + at, &reason)
+                    error_line(requests, &e.to_string())
+                }
+                Err(NotAJob::Malformed(reason)) => {
+                    failures += 1;
+                    error_line(requests, &reason)
+                }
+                Err(NotAJob::Unreadable(e)) => {
+                    fatal.get_or_insert_with(|| format!("reading {}: {e}", args.input));
+                    return;
                 }
             };
-            writeln!(out, "{line}").map_err(|e| format!("writing stdout: {e}"))?;
-        }
-        out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
-        requests += chunk.len();
+            requests += 1;
+            if fatal.is_none() {
+                if let Err(e) = write_line(&line) {
+                    fatal = Some(e);
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+        })
+        .map_err(|e| e.to_string())?;
+    if let Some(msg) = fatal {
+        return Err(msg);
     }
 
     let stats = engine.stats();

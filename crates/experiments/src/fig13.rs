@@ -77,8 +77,8 @@ fn geomean_ipc(benchmarks: &[Benchmark], n_ops: u64, cfg: TcpConfig) -> f64 {
 }
 
 /// Runs both sweeps through `engine` as **one** batch: every PHT
-/// configuration of both panels fans out together, so the work-stealing
-/// pool crosses configuration boundaries without a join barrier per
+/// configuration of both panels fans out together, so the executor's
+/// workers cross configuration boundaries without a join barrier per
 /// point (the bottom panel's 8 KB point also dedups against the top
 /// panel's when the index widths coincide).
 pub fn run_with(engine: &SweepEngine, benchmarks: &[Benchmark], n_ops: u64) -> Fig13 {

@@ -1,5 +1,5 @@
-//! The deterministic sweep engine: the one runner for batches of
-//! simulation jobs in the whole experiment harness.
+//! The deterministic sweep engine: the one runner for batches and streams
+//! of simulation jobs in the whole experiment harness.
 //!
 //! Every figure of the paper boils down to the same primitive — *simulate
 //! benchmark B for N ops on machine M with prefetcher P* — and the
@@ -13,36 +13,50 @@
 //! whole batch at once. The engine deduplicates jobs against a persistent
 //! memo keyed by the job's full identity (benchmark workload spec, op
 //! count, machine configuration, prefetcher configuration), executes only
-//! the missing ones on a work-stealing pool, and returns results in
-//! submission order. Sharing one engine across figures (as `--bin all`
+//! the missing ones on its workers, and returns results in submission
+//! order. Sharing one engine across figures (as `--bin all`
 //! does) removes roughly half of all simulation work at zero cost in
 //! fidelity: simulations are bit-deterministic, so a memoized result is
 //! indistinguishable from a re-run.
 //!
-//! One executor, [`SweepEngine::run_each`], serves every batch and returns
-//! one verdict per job; [`SweepEngine::run`] and [`SweepEngine::run_with`]
-//! are views over it. Every job runs through one job runner that applies
-//! the watchdog, its relaxing retries, and the only panic boundary, so a
-//! job that panics, wedges, or cannot be configured fails alone.
+//! One executor, [`SweepEngine::run_stream`], serves every call: it takes
+//! a stream of jobs and hands back one verdict per job, in submission
+//! order, as soon as that verdict and every earlier one are known.
+//! [`SweepEngine::run_each`], [`SweepEngine::run_with`] and
+//! [`SweepEngine::run`] are views over it that collect the verdicts of a
+//! slice. Every job runs through one job runner that applies the
+//! watchdog, its relaxing retries, and the only panic boundary, so a job
+//! that panics, wedges, or cannot be configured fails alone.
 //!
-//! # Why work stealing
+//! # The streaming executor
 //!
+//! The calling thread coordinates. It resolves each arriving job in
+//! order: memo, then store, then a key this call already sent to a worker
+//! (the job shares that verdict, success or failure). Only a fresh job
+//! goes to the workers, which take jobs from one shared FIFO queue; a
+//! call starts one worker per fresh job, up to the engine's thread count.
 //! Job durations differ by an order of magnitude (a pointer-chasing `mcf`
-//! run costs far more cycles-per-op than `fma3d`, and Figure 13 mixes
-//! 2 KB and 8 MB PHT configurations in one sweep). A shared-counter pool
-//! keeps cores busy but makes every *batch boundary* a barrier. Here each
-//! worker owns a contiguous block of job indices in a deque and steals
-//! from the *tail* of other workers' deques when its own block drains, so
-//! a single large batch keeps all cores busy until the global tail.
+//! run costs far more cycles per op than `fma3d`, and Figure 13 mixes
+//! 2 KB and 8 MB PHT configurations in one sweep). A shared queue absorbs
+//! that skew, since a worker that finishes early takes the next job, and
+//! nothing waits at a batch boundary: while a slow job holds back the
+//! verdicts behind it, the workers run the jobs after it, up to the
+//! read-ahead.
 //!
 //! # Why it stays deterministic
 //!
-//! Jobs are pure functions of their index: nothing about scheduling leaks
-//! into a job's inputs, and every result lands in the slot of the index
-//! that produced it. Memo keys live in a `BTreeMap`, so which index of a
-//! duplicated key executes is a pure function of the input. The
-//! determinism suite pins the end-to-end property (identical simulation
-//! results at 1, 2, and 8 workers).
+//! Workers only compute, and a job is a pure function of its inputs.
+//! Every effect happens on the calling thread in submission order,
+//! whatever order the workers finish in: store hits are taken as jobs
+//! arrive, and verdicts drain in job order. As each one drains, its
+//! success enters the memo and the store, and the store is flushed after
+//! every [`CheckpointOpts::batch_jobs`] inserted records. So the
+//! verdicts, the store's bytes and flush points, and [`EngineStats`]
+//! depend only on the job sequence, never on the thread count or on
+//! completion order. The determinism suite pins the end-to-end property
+//! (identical simulation results at 1, 2, and 8 workers), and the
+//! executor reference suite checks every effect against a sequential
+//! walk of the same jobs.
 //!
 //! # Examples
 //!
@@ -63,9 +77,12 @@
 //! assert_eq!(engine.stats().executed, 1); // the duplicate was memoized
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Mutex;
 
 use tcp_baselines::{Dbcp, DbcpConfig};
@@ -254,9 +271,9 @@ impl From<StoreError> for SweepError {
 /// supervision of each job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointOpts {
-    /// Jobs simulated between checkpoints: after each batch of this many
-    /// completed jobs the store is flushed, so a killed sweep loses at
-    /// most one batch of work.
+    /// Fresh results between checkpoints: the store is flushed after
+    /// every this many records inserted in job order, so a killed sweep
+    /// loses at most one batch of work.
     pub batch_jobs: usize,
     /// Forward-progress supervision for each job (the PR 1 watchdog).
     pub watchdog: Watchdog,
@@ -282,7 +299,10 @@ impl Default for CheckpointOpts {
 /// truly wedged one still fails fast in bounded attempts.
 const RETRY_RELAX_FACTOR: u64 = 16;
 
-/// A memoizing, work-stealing runner for batches of simulation [`Job`]s.
+/// One job's verdict: its result, or why it failed.
+pub type Verdict = Result<RunResult, SimError>;
+
+/// A memoizing, streaming runner for simulation [`Job`]s.
 ///
 /// The memo persists for the engine's lifetime, so figures that share an
 /// engine share results across batches. The engine is `Sync`; concurrent
@@ -361,25 +381,24 @@ impl SweepEngine {
         all_ok(jobs, self.run_each(Some(store), jobs, opts))
     }
 
-    /// The one executor: runs a batch of jobs and returns one verdict per
-    /// job, in submission order.
+    /// Runs a batch of jobs and returns one verdict per job, in
+    /// submission order: [`SweepEngine::run_stream`] over a slice, which
+    /// takes the whole slice as its read-ahead.
     ///
-    /// The lookup order per key is: in-process memo, then the `store`
-    /// when one is given (disk hits are pulled into the memo and counted
-    /// as [`EngineStats::store_hits`]), then simulation. The first
-    /// occurrence of each missing key executes on the work-stealing pool;
-    /// later duplicates share its verdict. Successes enter the memo.
-    ///
-    /// With a store, misses run in batches of
-    /// [`CheckpointOpts::batch_jobs`]; after each batch the new results
-    /// are inserted in job order and the store is **flushed**: their
-    /// records are appended to the store file with one write and one
-    /// fsync ([`SweepStore::flush`]). So a sweep killed mid-run resumes
-    /// from the last completed batch — bit-identically, because stored
-    /// results round-trip exactly and the simulator is deterministic —
-    /// and the appended bytes depend on `jobs` and the store's contents,
-    /// never on the thread count. Without a store there is nothing to
-    /// checkpoint, so every miss fans out as one barrier-free batch.
+    /// A job's verdict comes from the in-process memo, then from the
+    /// `store` when one is given (disk hits are pulled into the memo and
+    /// counted as [`EngineStats::store_hits`]), then from a job earlier
+    /// in the slice with the same key (counted as a memo hit, whether it
+    /// succeeded or failed), and otherwise from simulating it. Successes
+    /// enter the memo and the store in job order, and the store is
+    /// **flushed** after every [`CheckpointOpts::batch_jobs`] inserted
+    /// records and once at the end: each flush appends the new records
+    /// to the store file with one write and one fsync
+    /// ([`SweepStore::flush`]). So a sweep killed mid-run resumes from
+    /// its last checkpoint — bit-identically, because stored results
+    /// round-trip exactly and the simulator is deterministic — and the
+    /// appended bytes depend on `jobs` and the store's contents, never
+    /// on the thread count.
     ///
     /// Each job is supervised by the [`Watchdog`] from `opts`; a wedged
     /// job is retried up to [`CheckpointOpts::max_retries`] times with a
@@ -389,81 +408,83 @@ impl SweepEngine {
     /// # Errors
     ///
     /// The outer [`StoreError`] when a checkpoint cannot be written; the
-    /// batches flushed before it are kept.
+    /// records flushed before it are kept.
     pub fn run_each(
         &self,
-        mut store: Option<&mut SweepStore>,
+        store: Option<&mut SweepStore>,
         jobs: &[Job],
         opts: &CheckpointOpts,
-    ) -> Result<Vec<Result<RunResult, SimError>>, StoreError> {
-        let keys: Vec<String> = jobs.iter().map(Job::key).collect();
-        // The first missing occurrence of each distinct key runs; every
-        // job's slot says where its verdict comes from.
-        let mut to_run: Vec<usize> = Vec::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
-        let mut store_hits = 0usize;
-        {
-            let mut memo = lock(&self.memo);
-            let mut fresh: BTreeMap<&str, usize> = BTreeMap::new();
-            for (i, key) in keys.iter().enumerate() {
-                let slot = if let Some(result) = memo.get(key) {
-                    Slot::Known(Box::new(result.clone()))
-                } else if let Some(result) = store.as_deref().and_then(|s| s.get(key)) {
-                    memo.insert(key.clone(), result.clone());
-                    store_hits += 1;
-                    Slot::Known(Box::new(result.clone()))
-                } else {
-                    Slot::Runs(*fresh.entry(key).or_insert_with(|| {
-                        to_run.push(i);
-                        to_run.len() - 1
-                    }))
-                };
-                slots.push(slot);
-            }
-        }
-        // Without a store there is nothing to checkpoint: one batch.
-        let batch = match store {
-            Some(_) => opts.batch_jobs.max(1),
-            None => to_run.len().max(1),
-        };
-        let mut executed: Vec<Result<RunResult, SimError>> = Vec::with_capacity(to_run.len());
-        // Simulate the missing points without holding the memo lock.
-        for chunk in to_run.chunks(batch) {
-            let verdicts = run_jobs_stealing(chunk.len(), self.threads, |u| {
-                run_job(&jobs[chunk[u]], opts)
-            });
-            let mut memo = lock(&self.memo);
-            for (&i, verdict) in chunk.iter().zip(&verdicts) {
-                if let Ok(result) = verdict {
-                    if let Some(store) = store.as_deref_mut() {
-                        store.insert(&keys[i], result);
-                    }
-                    memo.insert(keys[i].clone(), result.clone());
-                }
-            }
-            drop(memo);
-            executed.extend(verdicts);
-            // Checkpoint the batch's successes even when a job failed:
-            // graceful degradation means a retry resumes from here.
-            if let Some(store) = store.as_deref_mut() {
-                store.flush()?;
-            }
-        }
-        let mut stats = lock(&self.stats);
-        stats.requested += jobs.len();
-        stats.executed += to_run.len();
-        stats.store_hits += store_hits;
-        drop(stats);
-        Ok(slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Known(result) => Ok(*result),
-                Slot::Runs(u) => match &executed[u] {
-                    Ok(result) => Ok(result.clone()),
-                    Err(reason) => Err(repeat(reason)),
-                },
-            })
-            .collect())
+    ) -> Result<Vec<Verdict>, StoreError> {
+        let mut verdicts = Vec::with_capacity(jobs.len());
+        let input = Input::loaded(jobs.iter().cloned().map(Ok));
+        self.run_input(store, input, opts, |answer: Result<Verdict, Infallible>| {
+            verdicts.extend(answer);
+        })?;
+        Ok(verdicts)
+    }
+
+    /// The one executor: runs a stream of requests and calls `emit` once
+    /// per request, in request order, as soon as that request and every
+    /// earlier one are answered.
+    ///
+    /// A request is a job (`Ok`) or an item the caller answers itself
+    /// (`Err`), which keeps its place in the order and comes back to
+    /// `emit` unchanged. Jobs resolve, run and checkpoint exactly as in
+    /// [`SweepEngine::run_each`]; the verdicts, the store's bytes and
+    /// flush points, and [`EngineStats`] depend only on the request
+    /// sequence.
+    ///
+    /// `requests` is pulled on a thread of its own, at most
+    /// 2 × [`CheckpointOpts::batch_jobs`] × [`SweepEngine::threads`]
+    /// requests ahead of the last one emitted. So it may block — on a
+    /// pipe, say — without holding back an answer that is ready, and the
+    /// requests held at once stay bounded however long it runs. What
+    /// grows with the stream is the engine's memo (one result per
+    /// distinct job) and the keys of failed jobs. The pulling thread is
+    /// detached: a call that fails returns without waiting on a blocked
+    /// `requests`.
+    ///
+    /// # Errors
+    ///
+    /// The [`StoreError`] of a checkpoint that cannot be written. It
+    /// stops intake and the running jobs finish first; answers already
+    /// emitted and records already flushed stay so.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `requests` on the calling thread.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tcp_experiments::sweep::{CheckpointOpts, Job, PrefetcherSpec, SweepEngine};
+    /// use tcp_sim::SystemConfig;
+    /// use tcp_workloads::suite;
+    ///
+    /// let job = Job::new(&suite()[0], 5_000, &SystemConfig::table1(), PrefetcherSpec::Null);
+    /// let requests = vec![Ok(job.clone()), Err("not a job"), Ok(job)];
+    /// let mut answers = Vec::new();
+    /// SweepEngine::with_threads(2)
+    ///     .run_stream(None, requests, &CheckpointOpts::default(), |a| answers.push(a))
+    ///     .expect("no store, no store error");
+    /// assert!(matches!(answers[1], Err("not a job")));
+    /// assert_eq!(answers.len(), 3);
+    /// ```
+    pub fn run_stream<P, I>(
+        &self,
+        store: Option<&mut SweepStore>,
+        requests: I,
+        opts: &CheckpointOpts,
+        emit: impl FnMut(Result<Verdict, P>),
+    ) -> Result<(), StoreError>
+    where
+        P: Send + 'static,
+        I: IntoIterator<Item = Result<Job, P>>,
+        I::IntoIter: Send + 'static,
+    {
+        let window = read_ahead(opts.batch_jobs, self.threads);
+        let input = Input::pumped(requests.into_iter(), window);
+        self.run_input(store, input, opts, emit)
     }
 
     /// Cumulative request/execution counts since the engine was built.
@@ -480,22 +501,153 @@ impl SweepEngine {
     pub fn threads(&self) -> usize {
         self.threads
     }
+
+    /// Runs one call over `input` with this engine's memo and workers,
+    /// then adds the call's accounting to the engine's.
+    fn run_input<P>(
+        &self,
+        store: Option<&mut SweepStore>,
+        input: Input<P>,
+        opts: &CheckpointOpts,
+        emit: impl FnMut(Result<Verdict, P>),
+    ) -> Result<(), StoreError>
+    where
+        P: Send,
+    {
+        let mut sweep = Sweep {
+            engine: self,
+            store,
+            batch_jobs: opts.batch_jobs.max(1),
+            taken: BTreeSet::new(),
+            failed: BTreeMap::new(),
+            unflushed: 0,
+            stats: EngineStats::default(),
+            emit,
+        };
+        let outcome = execute(&mut sweep, input, opts)
+            .and_then(|()| sweep.store.map_or(Ok(()), SweepStore::flush));
+        let mut stats = lock(&self.stats);
+        stats.requested += sweep.stats.requested;
+        stats.executed += sweep.stats.executed;
+        stats.store_hits += sweep.stats.store_hits;
+        outcome
+    }
+
+    fn memoized(&self, key: &str) -> Option<RunResult> {
+        lock(&self.memo).get(key).cloned()
+    }
 }
 
-/// Where one job's verdict comes from while [`SweepEngine::run_each`]
-/// resolves a batch.
-enum Slot {
+/// The calling thread's side of one [`SweepEngine`] call.
+struct Sweep<'a, F> {
+    engine: &'a SweepEngine,
+    store: Option<&'a mut SweepStore>,
+    batch_jobs: usize,
+    /// Keys this call has sent to a worker whose success has not yet
+    /// drained, and the keys that failed.
+    taken: BTreeSet<String>,
+    /// The failures among them, as they drained; a success is memoized.
+    failed: BTreeMap<String, SimError>,
+    /// Records inserted into the store since its last flush.
+    unflushed: usize,
+    /// This call's accounting, added to the engine's when it ends.
+    stats: EngineStats,
+    emit: F,
+}
+
+/// A request's answer as it drains: a worker's verdict with the job's
+/// key, or an answer known on arrival.
+type Answer<P> = Result<(String, Verdict), Known<P>>;
+
+/// A request answered without a worker.
+enum Known<P> {
     /// Memoized, or read from the store.
-    Known(Box<RunResult>),
-    /// Shared with the executing job at this position of the run list.
-    Runs(usize),
+    Hit(Box<RunResult>),
+    /// The key of an earlier job of this call, whose verdict it shares.
+    Shared(String),
+    /// Not a job: handed back in its place.
+    Passed(P),
+}
+
+impl<F> Sweep<'_, F> {
+    /// Inserts a fresh success into the store, if there is one, and
+    /// flushes after every `batch_jobs` inserted records.
+    fn checkpoint(&mut self, key: &str, result: &RunResult) -> Result<(), StoreError> {
+        let Some(store) = self.store.as_deref_mut() else {
+            return Ok(());
+        };
+        store.insert(key, result);
+        self.unflushed += 1;
+        if self.unflushed == self.batch_jobs {
+            self.unflushed = 0;
+            store.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Resolves an arriving request: a fresh job, with its key, for a
+    /// worker, or its answer.
+    fn admit<P>(&mut self, request: Result<Job, P>) -> Result<(String, Job), Known<P>> {
+        let job = request.map_err(Known::Passed)?;
+        self.stats.requested += 1;
+        let key = job.key();
+        if let Some(result) = self.engine.memoized(&key) {
+            return Err(Known::Hit(Box::new(result)));
+        }
+        if let Some(result) = self.store.as_deref().and_then(|s| s.get(&key)) {
+            let result = result.clone();
+            lock(&self.engine.memo).insert(key, result.clone());
+            self.stats.store_hits += 1;
+            return Err(Known::Hit(Box::new(result)));
+        }
+        if !self.taken.insert(key.clone()) {
+            return Err(Known::Shared(key));
+        }
+        self.stats.executed += 1;
+        Ok((key, job))
+    }
+
+    /// Takes the next answer in request order and emits it, first
+    /// checkpointing a fresh success. A store error stops the call.
+    fn drain<P>(&mut self, answer: Answer<P>) -> Result<(), StoreError>
+    where
+        F: FnMut(Result<Verdict, P>),
+    {
+        let verdict = match answer {
+            Ok((key, Ok(result))) => {
+                self.checkpoint(&key, &result)?;
+                // From here on the memo answers the key.
+                self.taken.remove(&key);
+                lock(&self.engine.memo).insert(key, result.clone());
+                Ok(result)
+            }
+            Ok((key, Err(reason))) => {
+                let verdict = Err(repeat(&reason));
+                self.failed.insert(key, reason);
+                verdict
+            }
+            Err(Known::Hit(result)) => Ok(*result),
+            // The key's first job drained before this one: its success
+            // is memoized, or its failure recorded.
+            Err(Known::Shared(key)) => match self.engine.memoized(&key) {
+                Some(result) => Ok(result),
+                None => Err(repeat(&self.failed[&key])),
+            },
+            Err(Known::Passed(item)) => {
+                (self.emit)(Err(item));
+                return Ok(());
+            }
+        };
+        (self.emit)(Ok(verdict));
+        Ok(())
+    }
 }
 
 /// The results of a batch in which every job succeeded, or the first
 /// failure in submission order.
 fn all_ok(
     jobs: &[Job],
-    verdicts: Result<Vec<Result<RunResult, SimError>>, StoreError>,
+    verdicts: Result<Vec<Verdict>, StoreError>,
 ) -> Result<Vec<RunResult>, SweepError> {
     jobs.iter()
         .zip(verdicts?)
@@ -511,7 +663,7 @@ fn all_ok(
 /// Runs one job: the only job runner. It is [`run_supervised`] inside
 /// the engine's only panic boundary, so a panic becomes the job's
 /// [`RunError::Panicked`] verdict.
-fn run_job(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimError> {
+fn run_job(job: &Job, opts: &CheckpointOpts) -> Verdict {
     // AssertUnwindSafe: on panic the per-run core, hierarchy, and
     // prefetcher are discarded wholesale, so no witness of broken
     // invariants survives the boundary.
@@ -533,7 +685,7 @@ fn run_job(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimError> {
 // simulation loop served tcpbench's `serve` batch about 4% slower
 // (2-core machine).
 #[inline(never)]
-fn run_supervised(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimError> {
+fn run_supervised(job: &Job, opts: &CheckpointOpts) -> Verdict {
     let bench = &job.benchmark;
     let warmup = job.n_ops / 2;
     let mut watchdog = opts.watchdog;
@@ -562,7 +714,7 @@ fn run_supervised(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimErro
 }
 
 /// Renders a panic payload as text for [`RunError::Panicked`].
-fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_reason(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -583,64 +735,197 @@ fn repeat(reason: &SimError) -> SimError {
     }
 }
 
-/// Pops the next job index for worker `w`: its own deque's head first,
-/// then the tail of the nearest non-empty victim. Returns `None` only
-/// when every deque is empty — no new jobs are ever enqueued mid-run, so
-/// that is a stable termination condition.
-fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(i) = lock(&queues[w]).pop_front() {
-        return Some(i);
-    }
-    (1..queues.len()).find_map(|k| lock(&queues[(w + k) % queues.len()]).pop_back())
+/// What the calling thread of an [`execute`] call waits on: requests
+/// arriving and workers finishing, on one channel.
+enum Event<P> {
+    /// The next request, or `None` once there are no more.
+    Arrived(Option<Box<Result<Job, P>>>),
+    /// A worker's verdict for the request with this sequence number, and
+    /// the job's key.
+    Done(usize, String, Box<Verdict>),
+    /// The request stream panicked, with this payload.
+    Panicked(Box<dyn Any + Send>),
 }
 
-/// Runs jobs `0..n_jobs` on up to `threads` work-stealing workers and
-/// returns `f(0), f(1), …` in index order regardless of which worker ran
-/// what.
-///
-/// Job indices are block-distributed: worker `w` seeds its deque with a
-/// contiguous chunk and only steals (from the tail of another worker's
-/// chunk) once its own is exhausted, so neighbouring jobs — which in the
-/// experiment harness share benchmark state shapes — tend to stay on one
-/// core. The pool has no panic policy of its own: the engine's `f` is
-/// [`run_job`], which turns a panic into that job's verdict.
-fn run_jobs_stealing<T, F>(n_jobs: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.min(n_jobs).max(1);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((n_jobs * w / workers..n_jobs * (w + 1) / workers).collect()))
-        .collect();
-    // Each result goes straight into its index's preallocated slot:
-    // collecting results per worker until the join ran a batch of ~1,100
-    // small jobs 1.6–1.8× slower on a 2-core machine.
-    let mut slots: Vec<Option<T>> = (0..n_jobs).map(|_| None).collect();
-    let slot_cells: Vec<Mutex<&mut Option<T>>> = slots.iter_mut().map(Mutex::new).collect();
-    // The scope joins every worker, and panics if one did.
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (queues, slot_cells, f) = (&queues, &slot_cells, &f);
-            scope.spawn(move || {
-                while let Some(i) = next_job(queues, w) {
-                    let result = f(i);
-                    **lock(&slot_cells[i]) = Some(result);
-                }
-            });
+/// The requests of one [`execute`] call and the channel they arrive on.
+struct Input<P> {
+    events: Sender<Event<P>>,
+    arrivals: Receiver<Event<P>>,
+    /// For pumped requests: one credit per answer drained.
+    credits: Option<Sender<()>>,
+}
+
+impl<P> Input<P> {
+    /// Every request, queued before the call starts: the read-ahead is
+    /// the whole list.
+    fn loaded(requests: impl IntoIterator<Item = Result<Job, P>>) -> Self {
+        let (events, arrivals) = mpsc::channel();
+        // The receiver is alive, so these sends cannot fail.
+        for request in requests {
+            let _ = events.send(Event::Arrived(Some(Box::new(request))));
         }
-    });
-    drop(slot_cells);
-    slots
-        .into_iter()
-        // tcp-lint: allow(panic-in-library) — every index is popped exactly once and its slot written before scope join
-        .map(|slot| slot.expect("every job processed"))
-        .collect()
+        let _ = events.send(Event::Arrived(None));
+        Input {
+            events,
+            arrivals,
+            credits: None,
+        }
+    }
+
+    /// Requests pulled from `requests` on a detached thread, at most
+    /// `window` ahead of the answers drained. The call never waits on a
+    /// request that has not arrived, and a call that fails returns
+    /// without waiting on one that never will.
+    fn pumped<I>(mut requests: I, window: usize) -> Self
+    where
+        I: Iterator<Item = Result<Job, P>> + Send + 'static,
+        P: Send + 'static,
+    {
+        let (events, arrivals) = mpsc::channel();
+        let (credits, credit) = mpsc::channel();
+        let feed = events.clone();
+        std::thread::spawn(move || {
+            // Requests it may take before it needs a credit.
+            let mut free = window;
+            loop {
+                if free > 0 {
+                    free -= 1;
+                } else if credit.recv().is_err() {
+                    return;
+                }
+                let event = match catch_unwind(AssertUnwindSafe(|| requests.next())) {
+                    Ok(request) => Event::Arrived(request.map(Box::new)),
+                    Err(payload) => Event::Panicked(payload),
+                };
+                let last = !matches!(event, Event::Arrived(Some(_)));
+                if feed.send(event).is_err() || last {
+                    return;
+                }
+            }
+        });
+        Input {
+            events,
+            arrivals,
+            credits: Some(credits),
+        }
+    }
 }
 
-/// Locks ignoring poisoning: the guarded state (memo map, counters, job
-/// deques, result slots) is only mutated by infallible inserts,
-/// additions, pops and stores, so a panic elsewhere cannot leave it torn.
+/// The read-ahead of a streaming call: at most this many requests taken
+/// but not yet emitted. Two checkpoints' worth per worker keeps every
+/// worker busy while a slow job holds back the verdicts behind it.
+fn read_ahead(batch_jobs: usize, threads: usize) -> usize {
+    batch_jobs.max(1).saturating_mul(threads).saturating_mul(2)
+}
+
+/// Workers a call runs once `fresh` jobs have gone to them: one per
+/// job, up to `threads`, so a call never starts a worker it has no work
+/// for.
+fn worker_cap(threads: usize, fresh: usize) -> usize {
+    threads.min(fresh)
+}
+
+/// The executor under every call: the calling thread admits requests
+/// as they arrive, workers run the fresh jobs from one shared FIFO queue,
+/// and answers drain in request order as soon as each one and every
+/// earlier one are known.
+///
+/// A store error stops intake: queued jobs are dropped unrun, running
+/// ones finish, and the error is returned. A panic of the request stream
+/// is re-raised on the calling thread.
+fn execute<P, F>(
+    sweep: &mut Sweep<'_, F>,
+    input: Input<P>,
+    opts: &CheckpointOpts,
+) -> Result<(), StoreError>
+where
+    P: Send,
+    F: FnMut(Result<Verdict, P>),
+{
+    let threads = sweep.engine.threads;
+    let Input {
+        events,
+        arrivals,
+        credits,
+    } = input;
+    let (queue, fresh_jobs) = mpsc::channel();
+    let fresh_jobs = &Mutex::new(fresh_jobs);
+    // A `move` closure: the queue's sender drops when it returns, which
+    // lets idle workers exit before the scope joins them.
+    std::thread::scope(move |scope| {
+        // Answers not yet drained, in request order; `None` while a
+        // worker has the job. `window[0]` is request number `drained`.
+        let mut window: VecDeque<Option<Answer<P>>> = VecDeque::new();
+        let mut drained = 0usize;
+        let (mut fresh, mut workers) = (0usize, 0usize);
+        let mut open = true;
+        while open || !window.is_empty() {
+            // The coordinator holds `events`: the channel never closes.
+            let Ok(event) = arrivals.recv() else { break };
+            match event {
+                Event::Arrived(None) => open = false,
+                Event::Arrived(Some(request)) => match sweep.admit(*request) {
+                    Err(known) => window.push_back(Some(Err(known))),
+                    Ok((key, job)) => {
+                        // The workers' receiver outlives the scope.
+                        let _ = queue.send((drained + window.len(), key, job));
+                        window.push_back(None);
+                        fresh += 1;
+                        if workers < worker_cap(threads, fresh) {
+                            workers += 1;
+                            let done = events.clone();
+                            scope.spawn(move || work_loop(fresh_jobs, opts, done));
+                        }
+                    }
+                },
+                Event::Done(seq, key, verdict) => {
+                    if let Some(slot) = window.get_mut(seq - drained) {
+                        *slot = Some(Ok((key, *verdict)));
+                    }
+                }
+                Event::Panicked(payload) => std::panic::resume_unwind(payload),
+            }
+            while let Some(answer) = window.front_mut().and_then(Option::take) {
+                window.pop_front();
+                drained += 1;
+                // On a store error, returning drops the queue and the
+                // event channel: an idle worker wakes to a closed queue,
+                // and a running one exits when it cannot hand its verdict
+                // back. The queue is never locked here, since an idle
+                // worker holds its lock while it waits.
+                sweep.drain(answer)?;
+                if let Some(credits) = &credits {
+                    // A pump that has finished needs no more credit.
+                    let _ = credits.send(());
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
+/// One worker: runs jobs from the shared FIFO queue until the
+/// coordinator closes it, sending each verdict back as an event. A job
+/// cannot panic past [`run_job`].
+fn work_loop<P>(
+    fresh_jobs: &Mutex<Receiver<(usize, String, Job)>>,
+    opts: &CheckpointOpts,
+    done: Sender<Event<P>>,
+) {
+    loop {
+        // A temporary guard: the queue is free again before the job runs.
+        let next = lock(fresh_jobs).recv();
+        let Ok((seq, key, job)) = next else { return };
+        let verdict = Box::new(run_job(&job, opts));
+        if done.send(Event::Done(seq, key, verdict)).is_err() {
+            return;
+        }
+    }
+}
+
+/// Locks ignoring poisoning: the guarded state (memo map, counters, the
+/// fresh-job queue) is only mutated by infallible inserts, additions and
+/// channel operations, so a panic elsewhere cannot leave it torn.
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
@@ -651,6 +936,7 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use tcp_sim::run_benchmark;
     use tcp_workloads::suite;
 
@@ -824,51 +1110,190 @@ mod tests {
         let _ = SweepEngine::with_threads(0);
     }
 
+    /// `gzip` jobs of the given op counts on the Table 1 machine.
+    fn gzip_jobs(ops: impl IntoIterator<Item = u64>) -> Vec<Job> {
+        let gzip = &picks(&["gzip"])[0];
+        let machine = SystemConfig::table1();
+        ops.into_iter()
+            .map(|n| Job::new(gzip, n, &machine, PrefetcherSpec::Null))
+            .collect()
+    }
+
     #[test]
     fn results_land_in_job_order_at_any_thread_count() {
+        let jobs = gzip_jobs((0..24).map(|i| 1_000 + 100 * i));
         for threads in [1, 2, 3, 8, 31] {
-            let out = run_jobs_stealing(100, threads, |i| i * i);
-            assert_eq!(
-                out,
-                (0..100).map(|i| i * i).collect::<Vec<_>>(),
-                "{threads} threads"
-            );
+            let out = SweepEngine::with_threads(threads).run(&jobs);
+            let ops: Vec<u64> = out.iter().map(|r| r.ops).collect();
+            let want: Vec<u64> = jobs.iter().map(|j| j.n_ops).collect();
+            assert_eq!(ops, want, "{threads} threads");
         }
     }
 
     #[test]
     fn skewed_job_sizes_complete_and_preserve_order() {
-        // The first block is far heavier than the rest: with block
-        // distribution, workers 1.. drain their chunks and must steal
-        // from worker 0's tail to finish.
-        let out = run_jobs_stealing(64, 8, |i| {
-            let rounds = if i < 8 { 200_000u64 } else { 100 };
-            (0..rounds).fold(i as u64, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
-        });
-        let reference: Vec<u64> = (0..64)
-            .map(|i| {
-                let rounds = if i < 8 { 200_000u64 } else { 100 };
-                (0..rounds).fold(i as u64, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
-            })
-            .collect();
-        assert_eq!(out, reference);
+        // The first four jobs are far heavier than the rest, so the
+        // workers finish out of order and the drain must wait for them.
+        let jobs = gzip_jobs((0..24).map(|i| if i < 4 { 20_000 + i } else { 1_000 + i }));
+        let reference = SweepEngine::with_threads(1).run(&jobs);
+        let out = SweepEngine::with_threads(4).run(&jobs);
+        for (i, (a, b)) in reference.iter().zip(&out).enumerate() {
+            assert_eq!(b.ops, jobs[i].n_ops, "job {i}");
+            assert_eq!(a.cycles, b.cycles, "job {i}");
+            assert_eq!(a.stats, b.stats, "job {i}");
+        }
     }
 
     #[test]
     fn every_job_executes_exactly_once() {
-        let executions = AtomicUsize::new(0);
-        let out = run_jobs_stealing(32, 4, |i| {
-            executions.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(out.len(), 32);
-        assert_eq!(executions.load(Ordering::Relaxed), 32);
+        let jobs = gzip_jobs((0..16).map(|i| 1_000 + i));
+        let engine = SweepEngine::with_threads(4);
+        let out = engine.run(&jobs);
+        assert_eq!(out.len(), jobs.len());
+        assert_eq!(engine.stats().executed, jobs.len());
+        assert_eq!(engine.stats().memo_hits(), 0);
+        assert_eq!(engine.memo_len(), jobs.len());
     }
 
     #[test]
     fn empty_batch_returns_empty() {
-        let out: Vec<u32> = run_jobs_stealing(0, 4, |_| unreachable!("no jobs"));
-        assert!(out.is_empty());
+        let engine = SweepEngine::with_threads(4);
+        let verdicts = engine
+            .run_each(None, &[], &CheckpointOpts::default())
+            .expect("no store, no store error");
+        assert!(verdicts.is_empty());
+        let mut emitted = 0usize;
+        engine
+            .run_stream(
+                None,
+                std::iter::empty::<Result<Job, ()>>(),
+                &CheckpointOpts::default(),
+                |_| emitted += 1,
+            )
+            .expect("no store, no store error");
+        assert_eq!(emitted, 0);
+        assert_eq!(engine.stats(), EngineStats::default());
+    }
+
+    #[test]
+    fn a_panicking_request_stream_is_re_raised_on_the_calling_thread() {
+        let jobs = gzip_jobs([1_000, 1_100, 1_200]);
+        let requests = jobs.into_iter().enumerate().map(|(i, job)| {
+            assert!(i != 2, "request {i} detonates");
+            Ok::<Job, ()>(job)
+        });
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            SweepEngine::with_threads(2).run_stream(
+                None,
+                requests,
+                &CheckpointOpts::default(),
+                |_| {},
+            )
+        }));
+        let payload = caught.expect_err("the stream's panic reaches the caller");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("request 2 detonates"), "{msg}");
+    }
+
+    #[test]
+    fn workers_never_outnumber_threads_or_fresh_jobs() {
+        // A pure function, so huge counts are checked without a thread.
+        assert_eq!(worker_cap(10_000, 3), 3);
+        assert_eq!(worker_cap(2, 140), 2);
+        assert_eq!(worker_cap(8, 0), 0);
+        for threads in 1..=16 {
+            for fresh in 0..=32 {
+                let cap = worker_cap(threads, fresh);
+                assert!(
+                    cap <= threads && cap <= fresh,
+                    "{threads} threads, {fresh} fresh"
+                );
+                assert!(
+                    cap == threads || cap == fresh,
+                    "{threads} threads, {fresh} fresh"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn read_ahead_stays_within_its_window() {
+        // Cheap jobs with repeats, so answers drain faster than the
+        // stream could otherwise be read.
+        let gzip = &picks(&["gzip"])[0];
+        let machine = SystemConfig::table1();
+        let jobs: Vec<Job> = (0..48u64)
+            .map(|i| Job::new(gzip, 1_000 + 100 * (i % 7), &machine, PrefetcherSpec::Null))
+            .collect();
+        for (threads, batch_jobs) in [(1, 1), (2, 2), (3, 1)] {
+            let opts = CheckpointOpts {
+                batch_jobs,
+                ..CheckpointOpts::default()
+            };
+            let window = read_ahead(batch_jobs, threads);
+            let taken = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&taken);
+            let requests = jobs.clone().into_iter().map(move |job| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Ok::<Job, ()>(job)
+            });
+            let mut emitted = 0usize;
+            let mut widest = 0usize;
+            SweepEngine::with_threads(threads)
+                .run_stream(None, requests, &opts, |answer| {
+                    assert!(answer.is_ok_and(|v| v.is_ok()));
+                    let ahead = taken.load(Ordering::SeqCst) - emitted;
+                    assert!(
+                        ahead <= window,
+                        "{ahead} taken ahead of emit, window {window}"
+                    );
+                    widest = widest.max(ahead);
+                    emitted += 1;
+                })
+                .expect("no store, no store error");
+            assert_eq!(emitted, jobs.len());
+            assert_eq!(taken.load(Ordering::SeqCst), jobs.len());
+            assert!(widest >= 1, "{threads} threads: the stream was read ahead");
+        }
+    }
+
+    #[test]
+    fn an_answer_never_waits_for_a_request_that_has_not_arrived() {
+        // Each request is sent only once the previous answer is out, as
+        // a client on a pipe would: an executor that waited for more
+        // input before answering would time out here.
+        let gzip = &picks(&["gzip"])[0];
+        let machine = SystemConfig::table1();
+        let jobs: Vec<Job> = [2_000, 3_000, 2_000]
+            .iter()
+            .map(|&ops| Job::new(gzip, ops, &machine, PrefetcherSpec::Null))
+            .collect();
+        let (send, pipe) = std::sync::mpsc::channel::<Job>();
+        send.send(jobs[0].clone()).expect("pipe open");
+        let requests = std::iter::from_fn(move || {
+            pipe.recv_timeout(std::time::Duration::from_secs(60))
+                .ok()
+                .map(Ok::<Job, ()>)
+        });
+        let started = std::time::Instant::now();
+        let mut send = Some(send);
+        let mut answers = 0usize;
+        SweepEngine::with_threads(2)
+            .run_stream(None, requests, &CheckpointOpts::default(), |answer| {
+                assert!(answer.is_ok_and(|v| v.is_ok()));
+                answers += 1;
+                match (jobs.get(answers), &send) {
+                    (Some(next), Some(pipe)) => pipe.send(next.clone()).expect("pipe open"),
+                    // Closing the pipe ends the stream.
+                    _ => send = None,
+                }
+            })
+            .expect("no store, no store error");
+        assert_eq!(answers, jobs.len());
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(60),
+            "an answer waited for the pipe's timeout"
+        );
     }
 
     #[test]
@@ -1128,6 +1553,92 @@ mod tests {
             assert!(matches!(err, SweepError::Job { .. }));
             std::fs::remove_dir_all(&dir).expect("cleanup");
             std::fs::remove_dir_all(&dir2).expect("cleanup");
+        }
+
+        #[test]
+        fn a_store_error_stops_intake_and_is_returned() {
+            // The store's directory vanishes after open, so the first
+            // checkpoint cannot be written.
+            let dir = test_dir("vanished");
+            let mut store = SweepStore::open(&dir).expect("open");
+            std::fs::remove_dir_all(&dir).expect("remove the store's directory");
+            let gzip = &picks(&["gzip"])[0];
+            let machine = SystemConfig::table1();
+            let jobs: Vec<Job> = (0..40u64)
+                .map(|i| Job::new(gzip, 1_000 + i, &machine, PrefetcherSpec::Null))
+                .collect();
+            let taken = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&taken);
+            let requests = jobs.into_iter().map(move |job| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Ok::<Job, ()>(job)
+            });
+            let opts = CheckpointOpts {
+                batch_jobs: 1,
+                ..CheckpointOpts::default()
+            };
+            let engine = SweepEngine::with_threads(2);
+            let mut emitted = 0usize;
+            let err = engine
+                .run_stream(Some(&mut store), requests, &opts, |_| emitted += 1)
+                .expect_err("the checkpoint fails");
+            assert!(!err.to_string().is_empty());
+            assert_eq!(emitted, 0, "the failed checkpoint's verdict is not emitted");
+            let window = read_ahead(1, 2);
+            assert!(
+                taken.load(Ordering::SeqCst) <= window,
+                "intake stopped within the read-ahead"
+            );
+            assert_eq!(store.stats().flushes, 0);
+        }
+
+        #[test]
+        fn a_failed_last_checkpoint_returns_while_workers_wait_on_the_queue() {
+            // Exactly `batch_jobs` fresh jobs, so the failing flush is the
+            // call's last drain: the queue is empty and every worker waits
+            // on it. The call runs on a helper thread so that a hang fails
+            // the test instead of stalling it.
+            let gzip = &picks(&["gzip"])[0];
+            let machine = SystemConfig::table1();
+            for streamed in [false, true] {
+                for threads in [1, 2] {
+                    for batch_jobs in [1, 3] {
+                        let case = format!(
+                            "streamed {streamed}, {threads} threads, batch_jobs {batch_jobs}"
+                        );
+                        let dir = test_dir("vanished-idle");
+                        let mut store = SweepStore::open(&dir).expect("open");
+                        std::fs::remove_dir_all(&dir).expect("remove the store's directory");
+                        let jobs: Vec<Job> = (0..batch_jobs as u64)
+                            .map(|i| Job::new(gzip, 1_000 + i, &machine, PrefetcherSpec::Null))
+                            .collect();
+                        let opts = CheckpointOpts {
+                            batch_jobs,
+                            ..CheckpointOpts::default()
+                        };
+                        let (send, outcome) = std::sync::mpsc::channel();
+                        std::thread::spawn(move || {
+                            let engine = SweepEngine::with_threads(threads);
+                            let failed = if streamed {
+                                let requests = jobs.into_iter().map(Ok::<Job, ()>);
+                                engine
+                                    .run_stream(Some(&mut store), requests, &opts, |_| {})
+                                    .is_err()
+                            } else {
+                                matches!(
+                                    engine.run_with(&mut store, &jobs, &opts),
+                                    Err(SweepError::Store(_))
+                                )
+                            };
+                            let _ = send.send(failed);
+                        });
+                        let failed = outcome
+                            .recv_timeout(std::time::Duration::from_secs(60))
+                            .unwrap_or_else(|_| panic!("{case}: the call never returned"));
+                        assert!(failed, "{case}: the store error was not returned");
+                    }
+                }
+            }
         }
     }
 }

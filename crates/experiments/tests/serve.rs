@@ -189,3 +189,169 @@ fn usage_and_input_errors_exit_2_and_leave_no_store_behind() {
     }
     fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// The request lines of one mixed batch: fresh points, repeats of a
+/// point still running (adjacent) and of one long finished (far apart),
+/// malformed lines, and points already in the warm store.
+fn mixed_requests() -> String {
+    let point = |bench: &str, ops: u32, prefetcher: &str| {
+        format!(r#"{{"benchmark":"{bench}","ops":{ops},"prefetcher":"{prefetcher}"}}"#)
+    };
+    [
+        point("gzip", 4_000, "tcp-8k"),
+        point("gzip", 4_000, "tcp-8k"),
+        point("art", 2_000, "null"),
+        "not json".to_owned(),
+        point("swim", 3_000, "null"),
+        point("mcf", 5_000, "tcp-8k"),
+        point("art", 2_000, "null"),
+        point("gzip", 2_000, "null"),
+        r#"{"benchmark":"nosuch","ops":2000,"prefetcher":"null"}"#.to_owned(),
+        point("ammp", 2_500, "dbcp-2m"),
+        point("swim", 3_000, "null"),
+        point("art", 2_000, "tcp-8k"),
+        point("gzip", 4_000, "tcp-8k"),
+    ]
+    .join("\n")
+}
+
+#[test]
+fn output_does_not_depend_on_threads_or_batch() {
+    let dir = test_dir("invariance");
+    let warm = dir.join("warm");
+    // The first run builds the warm store: two of its points recur in
+    // the mixed batch and come back from disk.
+    let warm_requests = dir.join("warm.jsonl");
+    fs::write(
+        &warm_requests,
+        "{\"benchmark\":\"gzip\",\"ops\":2000,\"prefetcher\":\"null\"}\n\
+         {\"benchmark\":\"art\",\"ops\":2000,\"prefetcher\":\"tcp-8k\"}\n",
+    )
+    .expect("write warm requests");
+    let built = serve(
+        &[
+            "--store",
+            warm.to_str().expect("utf-8 path"),
+            warm_requests.to_str().expect("utf-8 path"),
+        ],
+        b"",
+    );
+    assert_eq!(built.status.code(), Some(0));
+    let warm_store = fs::read(warm.join("store.jsonl")).expect("warm store");
+    let requests = dir.join("requests.jsonl");
+    fs::write(&requests, mixed_requests()).expect("write requests");
+
+    let mut reference: Option<(Vec<u8>, String, Vec<u8>)> = None;
+    for threads in ["1", "2", "4"] {
+        for batch in ["1", "8", "1000"] {
+            let store = dir.join(format!("store-{threads}-{batch}"));
+            fs::create_dir_all(&store).expect("store dir");
+            fs::write(store.join("store.jsonl"), &warm_store).expect("copy warm store");
+            let out = serve(
+                &[
+                    "--store",
+                    store.to_str().expect("utf-8 path"),
+                    "--threads",
+                    threads,
+                    "--batch",
+                    batch,
+                    requests.to_str().expect("utf-8 path"),
+                ],
+                b"",
+            );
+            assert_eq!(out.status.code(), Some(1), "two malformed lines exit 1");
+            let got = (
+                out.stdout.clone(),
+                summary(&out),
+                fs::read(store.join("store.jsonl")).expect("store bytes"),
+            );
+            match &reference {
+                None => {
+                    assert_eq!(
+                        got.1,
+                        "tcp-serve: 13 requests, 5 simulated, 2 from store, 4 from memo, 2 failed"
+                    );
+                    assert_eq!(stdout_lines(&out).len(), 13);
+                    reference = Some(got);
+                }
+                Some(want) => {
+                    let at = format!("--threads {threads} --batch {batch}");
+                    assert!(want.0 == got.0, "stdout differs at {at}");
+                    assert_eq!(want.1, got.1, "summary differs at {at}");
+                    assert!(want.2 == got.2, "store.jsonl differs at {at}");
+                }
+            }
+        }
+    }
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn a_pipe_client_gets_each_answer_without_closing_stdin() {
+    let mut child = Command::new(SERVE)
+        .args(["--threads", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn tcp-serve");
+    let ephemeral = std::env::temp_dir().join(format!("tcp-serve-{}", child.id()));
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (lines, answers) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in std::io::BufRead::lines(std::io::BufReader::new(stdout)) {
+            if lines.send(line.expect("utf-8 answer")).is_err() {
+                return;
+            }
+        }
+    });
+    let timeout = std::time::Duration::from_secs(60);
+    for (i, request) in [
+        r#"{"benchmark":"gzip","ops":2000,"prefetcher":"null"}"#,
+        r#"{"benchmark":"swim","ops":2000,"prefetcher":"tcp-8k"}"#,
+    ]
+    .iter()
+    .enumerate()
+    {
+        writeln!(stdin, "{request}").expect("send request");
+        stdin.flush().expect("flush request");
+        let answer = answers
+            .recv_timeout(timeout)
+            .unwrap_or_else(|e| panic!("request {i} unanswered with stdin open: {e}"));
+        let line = tcp_json::parse(&answer).expect("JSON answer");
+        assert_eq!(index_of(&line), i as f64);
+        assert!(line.get("cycles").is_some(), "{answer}");
+    }
+    drop(stdin);
+    let status = child.wait().expect("tcp-serve exits");
+    reader.join().expect("reader thread");
+    assert_eq!(status.code(), Some(0));
+    assert!(
+        answers.try_recv().is_err(),
+        "no answer beyond the two requests"
+    );
+    assert!(!ephemeral.exists(), "{} left behind", ephemeral.display());
+}
+
+#[test]
+fn a_read_error_answers_every_earlier_request_and_exits_2() {
+    let mut stdin = Vec::new();
+    stdin.extend_from_slice(b"{\"benchmark\":\"gzip\",\"ops\":2000,\"prefetcher\":\"null\"}\n");
+    stdin.extend_from_slice(b"not json\n");
+    stdin.extend_from_slice(b"{\"benchmark\":\"art\",\"ops\":2000,\"prefetcher\":\"null\"}\n");
+    stdin.extend_from_slice(b"\xff\xfe\n");
+    stdin.extend_from_slice(b"{\"benchmark\":\"swim\",\"ops\":2000,\"prefetcher\":\"null\"}\n");
+    let out = serve(&["-"], &stdin);
+    assert_eq!(out.status.code(), Some(2));
+    let lines = stdout_lines(&out);
+    assert_eq!(lines.len(), 3, "the three lines before the unreadable one");
+    for (i, line) in lines.iter().enumerate() {
+        assert_eq!(index_of(line), i as f64);
+    }
+    assert!(lines[0].get("cycles").is_some());
+    assert!(error_of(&lines[1]).contains("invalid JSON"));
+    assert!(lines[2].get("cycles").is_some());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("tcp-serve: reading -:"), "{stderr}");
+}

@@ -13,8 +13,8 @@
 //!   the binder's tags become the union of its own seed and the tags of
 //!   every identifier appearing in the right-hand side *outside* index
 //!   brackets. Container contents are not their index — `deques[worker]`
-//!   taints nothing — which is what keeps the deterministic
-//!   work-stealing executor clean.
+//!   taints nothing — which is what keeps a deterministic executor's
+//!   per-worker state clean.
 //!
 //! On top of the fixpoint environment the engine extracts the *fact
 //! lists* the dataflow rows consume: live `Mutex`-guard ranges and

@@ -80,7 +80,7 @@ pub const CASES: &[CaseSpec] = &[
     },
     CaseSpec {
         name: "sweep_memoized",
-        about: "SweepEngine over a duplicate-heavy job list (work-stealing fan-out + memo dedup)",
+        about: "SweepEngine over a duplicate-heavy job list (executor fan-out + memo dedup)",
     },
     CaseSpec {
         name: "memo_store_roundtrip",

@@ -24,11 +24,16 @@ echo "== sweep-engine determinism tests (executor + memo + cross-figure) =="
 cargo test --test sweep_engine
 
 echo
+echo "== sweep-executor differential suite (streaming executor vs sequential reference) =="
+cargo test --test executor_reference
+
+echo
 echo "== persistent-store acceptance tests (checkpoint/resume, quarantine, torn appends) =="
 cargo test --test store_persistence
 
 echo
-echo "== tcp-serve acceptance (error lines, memo/store accounting, exit codes, cleanup) =="
+echo "== tcp-serve acceptance (error lines, memo/store accounting, exit codes, cleanup,"
+echo "   thread/batch invariance, a pipe client without EOF, read errors) =="
 cargo test -p tcp-experiments --test serve
 
 echo
