@@ -1,6 +1,6 @@
 //! Unique-item censuses over the miss stream (Figures 2, 3, and 4).
 
-use std::collections::HashMap;
+use crate::rows::RowTable;
 use tcp_mem::{LineAddr, SetIndex, Tag};
 
 /// Counts unique tags and their recurrences (Figure 2).
@@ -20,7 +20,9 @@ use tcp_mem::{LineAddr, SetIndex, Tag};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TagCensus {
-    counts: HashMap<u64, u64>,
+    tags: RowTable,
+    /// Observations of each distinct tag, indexed by its id.
+    counts: Vec<u64>,
     total: u64,
 }
 
@@ -32,7 +34,11 @@ impl TagCensus {
 
     /// Records one miss-stream occurrence of `tag`.
     pub fn observe_tag(&mut self, tag: Tag) {
-        *self.counts.entry(tag.raw()).or_insert(0) += 1;
+        let (id, added) = self.tags.intern(&[tag.raw()]);
+        if added {
+            self.counts.push(0);
+        }
+        self.counts[id as usize] += 1;
         self.total += 1;
     }
 
@@ -54,12 +60,31 @@ impl TagCensus {
             self.total as f64 / self.counts.len() as f64
         }
     }
+
+    /// Appearances of each distinct tag, in the order the tags were
+    /// first observed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tcp_analysis::TagCensus;
+    /// use tcp_mem::Tag;
+    ///
+    /// let mut c = TagCensus::new();
+    /// for t in [7u64, 2, 7, 7] {
+    ///     c.observe_tag(Tag::new(t));
+    /// }
+    /// assert_eq!(c.per_tag_counts(), &[3, 1]); // tag 7, then tag 2
+    /// ```
+    pub fn per_tag_counts(&self) -> &[u64] {
+        &self.counts
+    }
 }
 
 /// Counts unique line addresses and their recurrences (Figure 3).
 #[derive(Clone, Debug, Default)]
 pub struct AddressCensus {
-    counts: HashMap<u64, u64>,
+    lines: RowTable,
     total: u64,
 }
 
@@ -71,13 +96,13 @@ impl AddressCensus {
 
     /// Records one miss-stream occurrence of `line`.
     pub fn observe_line(&mut self, line: LineAddr) {
-        *self.counts.entry(line.line_number()).or_insert(0) += 1;
+        self.lines.intern(&[line.line_number()]);
         self.total += 1;
     }
 
     /// Number of distinct line addresses observed.
     pub fn unique(&self) -> u64 {
-        self.counts.len() as u64
+        self.lines.len() as u64
     }
 
     /// Total observations.
@@ -87,10 +112,10 @@ impl AddressCensus {
 
     /// Mean number of appearances per distinct address.
     pub fn mean_recurrences(&self) -> f64 {
-        if self.counts.is_empty() {
+        if self.lines.is_empty() {
             0.0
         } else {
-            self.total as f64 / self.counts.len() as f64
+            self.total as f64 / self.lines.len() as f64
         }
     }
 }
@@ -113,8 +138,9 @@ impl AddressCensus {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TagSpread {
-    per_tag_set: HashMap<(u64, u32), u64>,
-    per_tag: HashMap<u64, u64>,
+    tags: RowTable,
+    /// Distinct `(tag id, set)` pairs, one word each.
+    tag_sets: RowTable,
     total: u64,
 }
 
@@ -126,33 +152,34 @@ impl TagSpread {
 
     /// Records a miss on `tag` in `set`.
     pub fn observe(&mut self, tag: Tag, set: SetIndex) {
-        *self.per_tag_set.entry((tag.raw(), set.raw())).or_insert(0) += 1;
-        *self.per_tag.entry(tag.raw()).or_insert(0) += 1;
+        let (id, _) = self.tags.intern(&[tag.raw()]);
+        self.tag_sets
+            .intern(&[u64::from(id) << 32 | u64::from(set.raw())]);
         self.total += 1;
     }
 
     /// Mean number of distinct sets each tag appeared in (Figure 4, top).
     pub fn mean_sets_per_tag(&self) -> f64 {
-        if self.per_tag.is_empty() {
+        if self.tags.is_empty() {
             0.0
         } else {
-            self.per_tag_set.len() as f64 / self.per_tag.len() as f64
+            self.tag_sets.len() as f64 / self.tags.len() as f64
         }
     }
 
     /// Mean number of times a tag appears within each set it touches
     /// (Figure 4, bottom).
     pub fn mean_recurrence_within_set(&self) -> f64 {
-        if self.per_tag_set.is_empty() {
+        if self.tag_sets.is_empty() {
             0.0
         } else {
-            self.total as f64 / self.per_tag_set.len() as f64
+            self.total as f64 / self.tag_sets.len() as f64
         }
     }
 
     /// Number of distinct tags observed.
     pub fn unique_tags(&self) -> u64 {
-        self.per_tag.len() as u64
+        self.tags.len() as u64
     }
 }
 

@@ -37,6 +37,7 @@
 
 mod census;
 mod histogram;
+mod rows;
 mod sequences;
 mod stream;
 mod summary;

@@ -8,7 +8,7 @@
 //! set — Figure 7). A sequence is *strided* when its tag deltas are
 //! constant and nonzero (Figure 15).
 
-use std::collections::BTreeMap;
+use crate::rows::RowTable;
 use tcp_mem::{SetIndex, Tag};
 
 /// Streaming census of per-set tag sequences of length `k` (3 in the
@@ -29,10 +29,16 @@ use tcp_mem::{SetIndex, Tag};
 #[derive(Clone, Debug)]
 pub struct SequenceCensus {
     k: usize,
-    windows: Vec<Vec<u64>>, // per set, most recent last
-    filled: Vec<u8>,
-    seq_counts: BTreeMap<Vec<u64>, u64>,
-    seq_set_counts: BTreeMap<(Vec<u64>, u32), u64>,
+    /// `sets × k` tags: each set's last `k` tags, most recent last.
+    windows: Vec<u64>,
+    /// Tags each set has seen, saturating at `k`.
+    seen: Vec<usize>,
+    /// Distinct sequences, `k` tags each.
+    seqs: RowTable,
+    /// Distinct `(sequence id, set)` pairs, one word each.
+    seq_sets: RowTable,
+    /// Distinct sequences that are strided.
+    strided: u64,
     total: u64,
 }
 
@@ -47,10 +53,11 @@ impl SequenceCensus {
         assert!(k >= 2, "sequences shorter than 2 carry no correlation");
         SequenceCensus {
             k,
-            windows: vec![Vec::with_capacity(k); sets as usize],
-            filled: vec![0; sets as usize],
-            seq_counts: BTreeMap::new(),
-            seq_set_counts: BTreeMap::new(),
+            windows: vec![0; sets as usize * k],
+            seen: vec![0; sets as usize],
+            seqs: RowTable::new(k),
+            seq_sets: RowTable::default(),
+            strided: 0,
             total: 0,
         }
     }
@@ -62,27 +69,27 @@ impl SequenceCensus {
 
     /// Feeds one miss (its tag and set) into the census.
     pub fn observe(&mut self, tag: Tag, set: SetIndex) {
-        let s = set.as_usize() % self.windows.len();
-        let w = &mut self.windows[s];
-        if w.len() == self.k {
-            w.remove(0);
+        let s = set.as_usize() % self.seen.len();
+        let window = &mut self.windows[s * self.k..][..self.k];
+        window.copy_within(1.., 0);
+        window[self.k - 1] = tag.raw();
+        if self.seen[s] < self.k {
+            self.seen[s] += 1;
+            if self.seen[s] < self.k {
+                return;
+            }
         }
-        w.push(tag.raw());
-        if w.len() == self.k {
-            self.total += 1;
-            *self.seq_counts.entry(w.clone()).or_insert(0) += 1;
-            *self
-                .seq_set_counts
-                .entry((w.clone(), s as u32))
-                .or_insert(0) += 1;
-        } else {
-            self.filled[s] = w.len() as u8;
+        self.total += 1;
+        let (id, added) = self.seqs.intern(window);
+        if added && Self::is_strided(window) {
+            self.strided += 1;
         }
+        self.seq_sets.intern(&[u64::from(id) << 32 | s as u64]);
     }
 
     /// Number of distinct k-tag sequences observed (Figure 6, top).
     pub fn unique_sequences(&self) -> u64 {
-        self.seq_counts.len() as u64
+        self.seqs.len() as u64
     }
 
     /// Total sequence occurrences.
@@ -92,10 +99,10 @@ impl SequenceCensus {
 
     /// Mean recurrences per distinct sequence (Figure 6, bottom).
     pub fn mean_recurrences(&self) -> f64 {
-        if self.seq_counts.is_empty() {
+        if self.seqs.is_empty() {
             0.0
         } else {
-            self.total as f64 / self.seq_counts.len() as f64
+            self.total as f64 / self.seqs.len() as f64
         }
     }
 
@@ -106,53 +113,50 @@ impl SequenceCensus {
         if limit == 0.0 {
             0.0
         } else {
-            self.seq_counts.len() as f64 / limit
+            self.seqs.len() as f64 / limit
         }
     }
 
     /// Mean number of distinct sets each sequence appears in (Figure 7,
     /// top).
     pub fn mean_sets_per_sequence(&self) -> f64 {
-        if self.seq_counts.is_empty() {
+        if self.seqs.is_empty() {
             0.0
         } else {
-            self.seq_set_counts.len() as f64 / self.seq_counts.len() as f64
+            self.seq_sets.len() as f64 / self.seqs.len() as f64
         }
     }
 
     /// Mean recurrences of a sequence within each set it touches
     /// (Figure 7, bottom).
     pub fn mean_recurrence_within_set(&self) -> f64 {
-        if self.seq_set_counts.is_empty() {
+        if self.seq_sets.is_empty() {
             0.0
         } else {
-            self.total as f64 / self.seq_set_counts.len() as f64
+            self.total as f64 / self.seq_sets.len() as f64
         }
     }
 
     /// Fraction of distinct sequences whose tag deltas are constant and
     /// nonzero (Figure 15).
     pub fn strided_fraction(&self) -> f64 {
-        if self.seq_counts.is_empty() {
-            return 0.0;
+        if self.seqs.is_empty() {
+            0.0
+        } else {
+            self.strided as f64 / self.seqs.len() as f64
         }
-        let strided = self
-            .seq_counts
-            .keys()
-            .filter(|seq| Self::is_strided(seq))
-            .count();
-        strided as f64 / self.seq_counts.len() as f64
     }
 
     fn is_strided(seq: &[u64]) -> bool {
         if seq.len() < 2 {
             return false;
         }
-        let d0 = seq[1] as i64 - seq[0] as i64;
+        let d0 = (seq[1] as i64).wrapping_sub(seq[0] as i64);
         if d0 == 0 {
             return false;
         }
-        seq.windows(2).all(|w| w[1] as i64 - w[0] as i64 == d0)
+        seq.windows(2)
+            .all(|w| (w[1] as i64).wrapping_sub(w[0] as i64) == d0)
     }
 }
 

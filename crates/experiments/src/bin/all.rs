@@ -26,7 +26,7 @@
 
 use std::process::exit;
 
-use tcp_analysis::{geometric_mean, miss_stream, HistogramLog2};
+use tcp_analysis::geometric_mean;
 use tcp_baselines::{Dbcp, DbcpConfig, StrideConfig, StridePrefetcher};
 use tcp_cache::{NullPrefetcher, Prefetcher};
 use tcp_core::{PhtConfig, StrideAugmentedTcp, Tcp, TcpConfig};
@@ -36,7 +36,7 @@ use tcp_experiments::report::{count, f, pct, Table};
 use tcp_experiments::scale::Scale;
 use tcp_experiments::sweep::SweepEngine;
 use tcp_experiments::{ablate, fig01, fig09, fig11, fig12, fig13, fig14, sec6, table1};
-use tcp_mem::{CacheGeometry, SetIndex, Tag};
+use tcp_mem::{SetIndex, Tag};
 use tcp_sim::{ipc_improvement, run_benchmark, SystemConfig};
 use tcp_workloads::{suite, Benchmark};
 
@@ -362,18 +362,9 @@ fn inspect(name: &str, ops: u64) {
     );
 
     // Recurrence histogram: how skewed is tag reuse?
-    let l1 = CacheGeometry::new(32 * 1024, 32, 1);
-    // BTreeMap: the histogram is order-insensitive, but keeping report
-    // paths hash-order-free is a workspace invariant (tcp-lint).
-    let mut counts = std::collections::BTreeMap::new();
-    for m in miss_stream(l1, bench.generator(ops).filter_map(|o| o.mem_access())) {
-        *counts.entry(m.tag.raw()).or_insert(0u64) += 1;
-    }
-    let mut hist = HistogramLog2::new();
-    hist.extend(counts.into_values());
     println!(
         "tag recurrence distribution (log2 buckets):\n{}",
-        hist.render(40)
+        p.tag_recurrence_histogram.render(40)
     );
 
     let machine = SystemConfig::table1();

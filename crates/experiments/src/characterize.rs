@@ -5,7 +5,9 @@
 //! selectors (`fig02`–`fig07`, `fig15`) then prints the columns
 //! corresponding to that figure's axes.
 
-use tcp_analysis::{miss_stream, AddressCensus, SequenceCensus, TagCensus, TagSpread};
+use tcp_analysis::{
+    miss_stream, AddressCensus, HistogramLog2, SequenceCensus, TagCensus, TagSpread,
+};
 use tcp_mem::CacheGeometry;
 use tcp_workloads::Benchmark;
 
@@ -20,6 +22,9 @@ pub struct TraceProfile {
     pub unique_tags: u64,
     /// Figure 2 bottom: mean appearances per tag.
     pub tag_recurrence: f64,
+    /// The distribution behind `tag_recurrence`: each tag's appearances,
+    /// in log₂ buckets.
+    pub tag_recurrence_histogram: HistogramLog2,
     /// Figure 3 top: unique line addresses.
     pub unique_addresses: u64,
     /// Figure 3 bottom: mean appearances per address.
@@ -71,11 +76,14 @@ pub fn characterize(bench: &Benchmark, n_ops: u64) -> TraceProfile {
         seqs.observe(rec.tag, rec.set);
     }
 
+    let mut tag_recurrence_histogram = HistogramLog2::new();
+    tag_recurrence_histogram.extend(tags.per_tag_counts().iter().copied());
     TraceProfile {
         benchmark: bench.name.to_owned(),
         misses,
         unique_tags: tags.unique(),
         tag_recurrence: tags.mean_recurrences(),
+        tag_recurrence_histogram,
         unique_addresses: addrs.unique(),
         address_recurrence: addrs.mean_recurrences(),
         sets_per_tag: spread.mean_sets_per_tag(),

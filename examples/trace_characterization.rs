@@ -4,13 +4,13 @@
 //! cargo run --release --example trace_characterization [benchmark] [ops]
 //! ```
 //!
-//! Streams a workload through a functional 32 KB direct-mapped L1 and
-//! reports the tag/address/sequence statistics of Figures 2–7 and 15,
-//! plus the intuition they support: how many address sequences a single
-//! tag sequence covers.
+//! Profiles a workload's miss stream through the paper's 32 KB
+//! direct-mapped L1 with `characterize` (the pass behind `all`'s
+//! `fig02`–`fig07` and `fig15`) and reports the tag/address/sequence
+//! statistics of Figures 2–7 and 15, plus the intuition they support: how
+//! many address sequences a single tag sequence covers.
 
-use tcp_repro::analysis::{miss_stream, AddressCensus, SequenceCensus, TagCensus, TagSpread};
-use tcp_repro::mem::CacheGeometry;
+use tcp_repro::experiments::characterize::characterize;
 use tcp_repro::workloads::suite;
 
 fn main() {
@@ -30,58 +30,42 @@ fn main() {
         }
     };
 
-    let l1 = CacheGeometry::new(32 * 1024, 32, 1);
-    let mut tags = TagCensus::new();
-    let mut addrs = AddressCensus::new();
-    let mut spread = TagSpread::new();
-    let mut seqs = SequenceCensus::new(l1.num_sets(), 3);
-
-    let accesses = bench.generator(ops).filter_map(|op| op.mem_access());
-    for miss in miss_stream(l1, accesses) {
-        tags.observe_tag(miss.tag);
-        addrs.observe_line(miss.line);
-        spread.observe(miss.tag, miss.set);
-        seqs.observe(miss.tag, miss.set);
-    }
+    let p = characterize(&bench, ops);
 
     println!("benchmark: {} ({ops} ops)", bench.name);
     println!("  {}\n", bench.description);
     println!(
         "tags      (Fig 2): {} unique, recurring {:.0}x each",
-        tags.unique(),
-        tags.mean_recurrences()
+        p.unique_tags, p.tag_recurrence
     );
     println!(
         "addresses (Fig 3): {} unique, recurring {:.1}x each  ({}x more addresses than tags)",
-        addrs.unique(),
-        addrs.mean_recurrences(),
-        addrs.unique() / tags.unique().max(1)
+        p.unique_addresses,
+        p.address_recurrence,
+        p.unique_addresses / p.unique_tags.max(1)
     );
     println!(
         "spread    (Fig 4): each tag in {:.0} of 1024 sets, {:.0} recurrences within a set",
-        spread.mean_sets_per_tag(),
-        spread.mean_recurrence_within_set()
+        p.sets_per_tag, p.tag_recurrence_within_set
     );
     println!(
         "sequences (Fig 5): {:.2}% of the random upper limit (tags^3)",
-        100.0 * seqs.fraction_of_upper_limit(tags.unique())
+        100.0 * p.fraction_of_upper_limit
     );
     println!(
         "sequences (Fig 6): {} unique 3-tag sequences, recurring {:.1}x each",
-        seqs.unique_sequences(),
-        seqs.mean_recurrences()
+        p.unique_sequences, p.sequence_recurrence
     );
     println!(
         "sequences (Fig 7): each in {:.1} sets, {:.1} recurrences within a set",
-        seqs.mean_sets_per_sequence(),
-        seqs.mean_recurrence_within_set()
+        p.sets_per_sequence, p.sequence_recurrence_within_set
     );
     println!(
         "strided  (Fig 15): {:.1}% of sequences are strided",
-        100.0 * seqs.strided_fraction()
+        100.0 * p.strided_fraction
     );
     println!(
         "\nTCP's premise: one tag sequence stands in for ~{:.0} address sequences\n(sets it recurs in), which is why an 8 KB tag-indexed PHT competes with\nmegabyte-scale address-correlation tables.",
-        seqs.mean_sets_per_sequence()
+        p.sets_per_sequence
     );
 }

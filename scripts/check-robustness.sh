@@ -69,6 +69,10 @@ echo "== JSON codec differential suite (tcp-json vs its verbatim reference codec
 cargo test -p tcp-json --test codec_reference
 
 echo
+echo "== census differential suite (Section 3 collectors vs their verbatim map-based reference) =="
+cargo test -p tcp-analysis --test census_reference
+
+echo
 echo "== streaming-engine acceptance (bit-identity, tenant isolation,"
 echo "   bounded-memory run over a synthetic trace >= 4x ring capacity) =="
 cargo test --test stream_engine
