@@ -2,15 +2,23 @@
 //! hot paths.
 //!
 //! Every structure on the simulator's inner loop — cache sets, MSHR
-//! files, the TLB, the PHT — stores its keys as contiguous `u64` arrays
-//! (struct-of-arrays), so the questions they ask ("which way holds this
-//! tag?", "which entry is oldest?") reduce to three kernels:
+//! files, the TLB, the PHT — stores its keys as contiguous integer
+//! arrays (struct-of-arrays), so the questions they ask ("which way
+//! holds this tag?", "which entry is oldest?") reduce to three kernels:
 //!
 //! * [`find_tag`] — masked first-match over one cache set (≤ 64 ways);
 //! * [`find_u64`] — first-match over a dense array of any length;
 //! * [`min_index`] — first index of the minimum of a dense array.
 //!
-//! Each kernel walks fixed-width `[u64; CHUNK]` blocks whose trip counts
+//! [`find_tag`] and [`min_index`] are generic over the element width:
+//! the caches and the TLB probe `u64` rows, the PHT its 16-bit entry
+//! tags and LRU stamps. Every element widens losslessly to `u64`
+//! (`T: Into<u64>`), and the kernels compare and reduce in that width:
+//! at 16 bits a narrow min chain compiles to a compare-and-branch per
+//! lane, the widened one to the same branch-free conditional moves as
+//! the `u64` rows.
+//!
+//! Each kernel walks fixed-width `[T; CHUNK]` blocks whose trip counts
 //! are compile-time constants, accumulating branch-free equality
 //! bitmasks; the winning lane falls out of `trailing_zeros`, which also
 //! encodes the lowest-index tie-break every caller relies on. Partial
@@ -34,11 +42,11 @@ pub const CHUNK: usize = 8;
 /// `xs[lane] == needle`. `N` is a compile-time constant, so the chain
 /// unrolls flat.
 #[inline(always)]
-fn fixed_eq<const N: usize>(xs: &[u64; N], needle: u64) -> u64 {
+fn fixed_eq<T: Copy + Into<u64>, const N: usize>(xs: &[T; N], needle: u64) -> u64 {
     let mut m: u64 = 0;
     let mut lane = 0;
     while lane < N {
-        m |= u64::from(xs[lane] == needle) << lane;
+        m |= u64::from(xs[lane].into() == needle) << lane;
         lane += 1;
     }
     m
@@ -48,7 +56,7 @@ fn fixed_eq<const N: usize>(xs: &[u64; N], needle: u64) -> u64 {
 /// possible tail length dispatches to its own fixed-width [`fixed_eq`],
 /// so the compare stays straight-line code for every arm.
 #[inline(always)]
-fn tail_eq(tail: &[u64], needle: u64) -> u64 {
+fn tail_eq<T: Copy + Into<u64>>(tail: &[T], needle: u64) -> u64 {
     debug_assert!(tail.len() < CHUNK, "tails are shorter than one block");
     match *tail {
         [] => 0,
@@ -65,11 +73,11 @@ fn tail_eq(tail: &[u64], needle: u64) -> u64 {
 
 /// Minimum of a fixed-width block, as a branch-free reduction.
 #[inline(always)]
-fn fixed_min<const N: usize>(xs: &[u64; N]) -> u64 {
+fn fixed_min<T: Copy + Into<u64>, const N: usize>(xs: &[T; N]) -> u64 {
     let mut m = u64::MAX;
     let mut lane = 0;
     while lane < N {
-        m = m.min(xs[lane]);
+        m = m.min(xs[lane].into());
         lane += 1;
     }
     m
@@ -78,11 +86,11 @@ fn fixed_min<const N: usize>(xs: &[u64; N]) -> u64 {
 /// Minimum of a partial block shorter than [`CHUNK`], dispatched like
 /// [`tail_eq`]. Returns `u64::MAX` for an empty tail.
 #[inline(always)]
-fn tail_min(tail: &[u64]) -> u64 {
+fn tail_min<T: Copy + Into<u64>>(tail: &[T]) -> u64 {
     debug_assert!(tail.len() < CHUNK, "tails are shorter than one block");
     match *tail {
         [] => u64::MAX,
-        [a] => a,
+        [a] => a.into(),
         [a, b] => fixed_min(&[a, b]),
         [a, b, c] => fixed_min(&[a, b, c]),
         [a, b, c, d] => fixed_min(&[a, b, c, d]),
@@ -101,9 +109,10 @@ fn tail_min(tail: &[u64]) -> u64 {
 /// 64 (one bit per way); bits of `valid_mask` at or above `tags.len()`
 /// must be zero.
 #[inline(always)]
-pub fn find_tag(tags: &[u64], valid_mask: u64, needle: u64) -> Option<usize> {
+pub fn find_tag<T: Copy + Into<u64>>(tags: &[T], valid_mask: u64, needle: T) -> Option<usize> {
     debug_assert!(tags.len() <= 64, "find_tag is limited to 64 ways");
     debug_assert!(tags.len() == 64 || valid_mask >> tags.len() == 0);
+    let needle = needle.into();
     let (blocks, tail) = tags.as_chunks::<CHUNK>();
     let mut eq: u64 = 0;
     let mut base = 0u32;
@@ -124,7 +133,11 @@ pub fn find_tag(tags: &[u64], valid_mask: u64, needle: u64) -> Option<usize> {
 
 /// Scalar reference for [`find_tag`]: the one-way-at-a-time probe the
 /// chunked kernel must match bit for bit.
-pub fn find_tag_scalar(tags: &[u64], valid_mask: u64, needle: u64) -> Option<usize> {
+pub fn find_tag_scalar<T: Copy + PartialEq>(
+    tags: &[T],
+    valid_mask: u64,
+    needle: T,
+) -> Option<usize> {
     (0..tags.len()).find(|&i| (valid_mask >> i) & 1 == 1 && tags[i] == needle)
 }
 
@@ -134,6 +147,13 @@ pub fn find_tag_scalar(tags: &[u64], valid_mask: u64, needle: u64) -> Option<usi
 /// every element is live, and `xs` may be any length.
 #[inline(always)]
 pub fn find_u64(xs: &[u64], needle: u64) -> Option<usize> {
+    find_first(xs, needle)
+}
+
+/// [`find_u64`] at any element width: the early-exit block scan that
+/// [`min_index`] also re-runs to locate its minimum.
+#[inline(always)]
+fn find_first<T: Copy + Into<u64>>(xs: &[T], needle: u64) -> Option<usize> {
     let (blocks, tail) = xs.as_chunks::<CHUNK>();
     let mut base = 0usize;
     for block in blocks {
@@ -164,21 +184,23 @@ pub fn find_u64_scalar(xs: &[u64], needle: u64) -> Option<usize> {
 /// reduction followed by a first-match scan, so the "first strict
 /// minimum wins" tie-break of the replacement policies is preserved.
 #[inline(always)]
-pub fn min_index(xs: &[u64]) -> usize {
+pub fn min_index<T: Copy + Into<u64>>(xs: &[T]) -> usize {
     let (blocks, tail) = xs.as_chunks::<CHUNK>();
     let mut m = u64::MAX;
     for block in blocks {
         m = m.min(fixed_min(block));
     }
     m = m.min(tail_min(tail));
-    find_u64(xs, m).unwrap_or(0)
+    find_first(xs, m).unwrap_or(0)
 }
 
 /// Scalar reference for [`min_index`]: the running first-strict-minimum
 /// scan the replacement policies were originally written as.
-pub fn min_index_scalar(xs: &[u64]) -> usize {
-    let mut best = 0;
-    let mut best_v = u64::MAX;
+pub fn min_index_scalar<T: Copy + Ord>(xs: &[T]) -> usize {
+    let Some(&first) = xs.first() else {
+        return 0;
+    };
+    let (mut best, mut best_v) = (0, first);
     for (i, &x) in xs.iter().enumerate() {
         if x < best_v {
             best = i;
@@ -194,7 +216,7 @@ mod tests {
 
     #[test]
     fn find_tag_respects_valid_mask() {
-        let tags = [7, 7, 7, 7];
+        let tags = [7u64, 7, 7, 7];
         assert_eq!(find_tag(&tags, 0b0000, 7), None);
         assert_eq!(find_tag(&tags, 0b0100, 7), Some(2));
         assert_eq!(find_tag(&tags, 0b1111, 7), Some(0));
@@ -226,9 +248,9 @@ mod tests {
 
     #[test]
     fn min_index_first_minimum_wins() {
-        assert_eq!(min_index(&[5, 2, 9, 2]), 1);
-        assert_eq!(min_index(&[7]), 0);
-        assert_eq!(min_index(&[]), 0);
+        assert_eq!(min_index(&[5u64, 2, 9, 2]), 1);
+        assert_eq!(min_index(&[7u64]), 0);
+        assert_eq!(min_index::<u64>(&[]), 0);
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! its row in the entry planes, and a set's first train appends that row.
 //! A TCP-8M job therefore allocates 4 B of directory per set plus one row
 //! per set it trains, not the whole 8 MB model.
+//!
+//! A row stores its fields at the modelled widths: a 16-bit entry tag,
+//! 16-bit successors and an 8-bit live-target count per way, a 16-bit
+//! LRU stamp per way, a 64-bit occupancy mask and a 16-bit LRU clock.
+//! An 8-way, one-target row is 66 B (the paper's 32 B of entries plus
+//! 34 B of replacement and occupancy state), so `tag_bits` is at most 16
+//! and `targets` at most 255.
 
 use crate::truncated_sum;
 use tcp_cache::kernels;
@@ -36,10 +43,12 @@ pub struct PhtConfig {
     pub miss_index_bits: u32,
     /// Width of the stored tag fields in bits (16 in the paper's 4-byte
     /// entries; predictions are reconstructed from these truncated tags).
+    /// At most 16: the table stores each field in 16 bits.
     pub tag_bits: u32,
     /// Successor tags stored per entry, most recent first. The paper uses
     /// 1; Section 6 proposes storing multiple targets as Joseph &
     /// Grunwald's Markov prefetcher does, trading traffic for accuracy.
+    /// At most 255: each entry counts its live targets in 8 bits.
     pub targets: u32,
 }
 
@@ -117,12 +126,19 @@ impl PhtConfig {
 
 /// A set-associative pattern history table.
 ///
-/// Entry state is struct-of-arrays: the truncated entry tags sit in a
-/// dense `u64` array so the per-set probe is one chunked
-/// [`kernels::find_tag`] sweep against the set's occupancy bitmask, and
-/// LRU victim selection is a chunked [`kernels::min_index`] over the
-/// contiguous `last_use` row — the same kernels the simulator's caches
-/// use (see DESIGN.md §12).
+/// Entry state is struct-of-arrays: the 16-bit entry tags sit in a
+/// dense array so the per-set probe is one chunked [`kernels::find_tag`]
+/// sweep against the set's occupancy bitmask, and LRU victim selection
+/// is a chunked [`kernels::min_index`] over the contiguous 16-bit
+/// `last_use` row — the same kernels the simulator's caches use (see
+/// DESIGN.md §12).
+///
+/// LRU stamps come from a per-row clock that advances when one of the
+/// row's ways is trained or hit. Only the order of a row's stamps
+/// decides its victim, so when a clock reaches `u16::MAX` the row's
+/// valid stamps are replaced by their ranks 1..=n (oldest first) and the
+/// clock restarts at n: the victim is the exact LRU way of an unbounded
+/// clock, and a lookup that misses touches no clock.
 ///
 /// The planes hold materialized rows only. A zeroed per-set directory
 /// (`dir`) stores each set's row number plus one, 0 meaning the set was
@@ -151,19 +167,20 @@ pub struct PatternHistoryTable {
     dir: Vec<u32>,
     /// Truncated entry tag per way (row-major, `rows × assoc`). Only
     /// ways whose `valid` bit is set hold a meaningful value.
-    tags: Vec<u64>,
+    tags: Vec<u16>,
     /// Per-row occupancy bitmask (bit `w` = way `w` holds an entry).
     valid: Vec<u64>,
-    /// LRU stamp per way.
-    last_use: Vec<u64>,
+    /// LRU stamp per way, read from its row's `clock`.
+    last_use: Vec<u16>,
+    /// Per-row LRU clock: the stamp of the row's most recent touch.
+    clock: Vec<u16>,
     /// Live prefix length of each way's arena row.
-    n_targets: Vec<u32>,
-    /// Flat successor-tag arena: entry (way) `i` owns the row
+    n_targets: Vec<u8>,
+    /// Flat truncated successor-tag arena: entry (way) `i` owns the row
     /// `targets[i * cfg.targets .. (i + 1) * cfg.targets]`, of which the
     /// first `n_targets` elements are live (most recent first). Keeping
     /// targets out of line makes training and lookup allocation-free.
-    targets: Vec<Tag>,
-    order: u64,
+    targets: Vec<u16>,
     trains: u64,
     lookups: u64,
     hits: u64,
@@ -175,8 +192,9 @@ impl PatternHistoryTable {
     /// # Panics
     ///
     /// Panics if `sets` is not a power of two, `assoc` is zero or above
-    /// 64 (the occupancy bitmask width), or `miss_index_bits` exceeds
-    /// the index width.
+    /// 64 (the occupancy bitmask width), `miss_index_bits` exceeds the
+    /// index width, `tag_bits` is not in 1..=16 (the stored field width)
+    /// or `targets` is not in 1..=255 (the live-count width).
     pub fn new(cfg: PhtConfig) -> Self {
         assert!(
             cfg.sets.is_power_of_two(),
@@ -191,19 +209,22 @@ impl PatternHistoryTable {
             "miss index bits exceed the PHT index width"
         );
         assert!(
-            cfg.tag_bits >= 1 && cfg.tag_bits <= 64,
-            "tag width out of range"
+            (1..=16).contains(&cfg.tag_bits),
+            "PHT tag width must be in 1..=16"
         );
-        assert!(cfg.targets >= 1, "entries must store at least one target");
+        assert!(
+            (1..=255).contains(&cfg.targets),
+            "PHT targets per entry must be in 1..=255"
+        );
         PatternHistoryTable {
             cfg,
             dir: vec![0; cfg.sets as usize],
             tags: Vec::new(),
             valid: Vec::new(),
             last_use: Vec::new(),
+            clock: Vec::new(),
             n_targets: Vec::new(),
             targets: Vec::new(),
-            order: 0,
             trains: 0,
             lookups: 0,
             hits: 0,
@@ -250,56 +271,99 @@ impl PatternHistoryTable {
         let row = self.valid.len();
         let ways = (row + 1) * self.cfg.assoc as usize;
         self.valid.push(0);
+        self.clock.push(0);
         self.tags.resize(ways, 0);
         self.last_use.resize(ways, 0);
         self.n_targets.resize(ways, 0);
-        self.targets
-            .resize(ways * self.cfg.targets as usize, Tag::default());
+        self.targets.resize(ways * self.cfg.targets as usize, 0);
         // Rows never outnumber sets, and `sets` is a power-of-two `u32`,
         // so `row + 1` fits the directory entry.
         self.dir[set] = row as u32 + 1;
         row
     }
 
-    fn entry_tag(&self, seq: &[Tag]) -> Tag {
-        seq.last()
-            .copied()
-            .unwrap_or_default()
-            .truncate(self.cfg.tag_bits)
+    /// `tag` as a stored field: its low `tag_bits` bits. `new` bounds
+    /// `tag_bits` to 16, so the field keeps every truncated bit.
+    fn field(&self, tag: Tag) -> u16 {
+        tag.truncate(self.cfg.tag_bits).raw() as u16
+    }
+
+    /// The stored field of the sequence's most recent tag, which tags
+    /// its entry.
+    fn entry_tag(&self, seq: &[Tag]) -> u16 {
+        self.field(seq.last().copied().unwrap_or_default())
+    }
+
+    /// Stamps `way` (a way of `row`) as its row's most recent use.
+    fn touch(&mut self, row: usize, way: usize) {
+        let mut now = self.clock[row];
+        if now == u16::MAX {
+            now = self.rank_stamps(row);
+        }
+        now += 1;
+        self.clock[row] = now;
+        self.last_use[way] = now;
+    }
+
+    /// Replaces the stamps of `row`'s valid ways by their ranks 1..=n,
+    /// oldest first, and returns n, where the row's clock restarts. A
+    /// row's valid stamps are distinct, so the ranks keep their order
+    /// exactly. It runs once per 65,535 touches of a row, so it stays
+    /// out of line.
+    #[cold]
+    #[inline(never)]
+    fn rank_stamps(&mut self, row: usize) -> u16 {
+        let assoc = self.cfg.assoc as usize;
+        let valid = self.valid[row];
+        let stamps = &mut self.last_use[row * assoc..(row + 1) * assoc];
+        let mut old = [0u16; 64];
+        old[..assoc].copy_from_slice(stamps);
+        let old = &old[..assoc];
+        for (w, stamp) in stamps.iter_mut().enumerate() {
+            if valid >> w & 1 == 1 {
+                let older = old
+                    .iter()
+                    .enumerate()
+                    .filter(|&(v, &s)| valid >> v & 1 == 1 && s < old[w])
+                    .count();
+                *stamp = older as u16 + 1;
+            }
+        }
+        valid.count_ones() as u16
     }
 
     /// Records that sequence `seq` (oldest first, most recent last) at L1
     /// set `miss_index` was followed by `next`.
     pub fn train(&mut self, seq: &[Tag], next: Tag, miss_index: SetIndex) {
         self.trains += 1;
-        self.order += 1;
         let set = self.index(seq, miss_index);
         let row = match self.row(set) {
             Some(row) => row,
             None => self.materialize(set),
         };
         let etag = self.entry_tag(seq);
-        let next = next.truncate(self.cfg.tag_bits);
+        let next = self.field(next);
         let assoc = self.cfg.assoc as usize;
         let base = row * assoc;
         let max_targets = self.cfg.targets as usize;
         let vm = self.valid[row];
         // Existing entry for this sequence tag?
-        if let Some(w) = kernels::find_tag(&self.tags[base..base + assoc], vm, etag.raw()) {
+        if let Some(w) = kernels::find_tag(&self.tags[base..base + assoc], vm, etag) {
             let way = base + w;
-            let row = &mut self.targets[way * max_targets..(way + 1) * max_targets];
-            let n = self.n_targets[way] as usize;
-            if let Some(pos) = row[..n].iter().position(|&t| t == next) {
+            let live = &mut self.targets[way * max_targets..(way + 1) * max_targets];
+            let n = usize::from(self.n_targets[way]);
+            if let Some(pos) = live[..n].iter().position(|&t| t == next) {
                 // Move the matched target to the front of the live prefix.
-                row[..=pos].rotate_right(1);
+                live[..=pos].rotate_right(1);
             } else {
                 // Push front; the oldest target falls off a full row.
                 let keep = n.min(max_targets - 1);
-                row[..=keep].rotate_right(1);
-                row[0] = next;
-                self.n_targets[way] = (keep + 1) as u32;
+                live[..=keep].rotate_right(1);
+                live[0] = next;
+                // `keep` < `targets` ≤ 255, so the count fits its byte.
+                self.n_targets[way] = keep as u8 + 1;
             }
-            self.last_use[way] = self.order;
+            self.touch(row, way);
             return;
         }
         // Fill the lowest empty way, or evict the set's LRU entry.
@@ -314,9 +378,9 @@ impl PatternHistoryTable {
             kernels::min_index(&self.last_use[base..base + assoc])
         };
         let way = base + w;
-        self.tags[way] = etag.raw();
+        self.tags[way] = etag;
         self.valid[row] = vm | 1 << w;
-        self.last_use[way] = self.order;
+        self.touch(row, way);
         self.n_targets[way] = 1;
         let slot = way * max_targets;
         debug_assert!(slot < self.targets.len(), "arena is sized ways * targets");
@@ -327,17 +391,22 @@ impl PatternHistoryTable {
     /// set `miss_index`.
     pub fn lookup(&mut self, seq: &[Tag], miss_index: SetIndex) -> Option<Tag> {
         let way = self.find_and_touch(seq, miss_index)?;
-        // tcp-lint: allow(overflow-provenance) — way < sets·ways and targets ≤ 8, so the arena index is far below usize::MAX
-        Some(self.targets[way * self.cfg.targets as usize])
+        // tcp-lint: allow(overflow-provenance) — way < sets·ways and targets ≤ 255, so the arena index is far below usize::MAX
+        let slot = way * self.cfg.targets as usize;
+        Some(Tag::new(u64::from(self.targets[slot])))
     }
 
     /// Appends every stored successor for the sequence (most recent
     /// first) to `out` — the Section 6 multi-target mode.
     pub fn lookup_targets(&mut self, seq: &[Tag], miss_index: SetIndex, out: &mut Vec<Tag>) {
         if let Some(way) = self.find_and_touch(seq, miss_index) {
-            let n = self.n_targets[way] as usize;
+            let n = usize::from(self.n_targets[way]);
             let start = way * self.cfg.targets as usize;
-            out.extend_from_slice(&self.targets[start..start + n]);
+            out.extend(
+                self.targets[start..start + n]
+                    .iter()
+                    .map(|&t| Tag::new(u64::from(t))),
+            );
         }
     }
 
@@ -348,14 +417,13 @@ impl PatternHistoryTable {
     /// front-of-row prediction.
     fn find_and_touch(&mut self, seq: &[Tag], miss_index: SetIndex) -> Option<usize> {
         self.lookups += 1;
-        self.order += 1;
         let row = self.row(self.index(seq, miss_index))?;
         let etag = self.entry_tag(seq);
         let assoc = self.cfg.assoc as usize;
         let base = row * assoc;
-        let w = kernels::find_tag(&self.tags[base..base + assoc], self.valid[row], etag.raw())?;
+        let w = kernels::find_tag(&self.tags[base..base + assoc], self.valid[row], etag)?;
         let way = base + w;
-        self.last_use[way] = self.order;
+        self.touch(row, way);
         self.hits += 1;
         Some(way)
     }
@@ -513,9 +581,9 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(pht.counters(), (0, 2, 0));
         assert!(pht.valid.is_empty() && pht.tags.is_empty());
-        // The two misses still advanced the LRU clock.
+        // A miss touches no clock: the first train stamps its way 1.
         pht.train(&seq, t(7), s(3));
-        assert_eq!(pht.last_use[0], 3);
+        assert_eq!((pht.clock[0], pht.last_use[0]), (1, 1));
     }
 
     #[test]

@@ -53,6 +53,10 @@ echo "== PHT differential suite (PatternHistoryTable vs naive reference PHT) =="
 cargo test -p tcp-core --test pht_reference
 
 echo
+echo "== TCP differential suite (Tcp vs naive reference TCP over Figure 13's PHTs) =="
+cargo test -p tcp-core --test tcp_reference
+
+echo
 echo "== MSHR differential suite (MshrFile vs naive reference MSHR file) =="
 cargo test -p tcp-cache --test mshr_reference
 
